@@ -15,8 +15,8 @@ from .bounds import (BoundsReport, GapDiagnostic, bounds_report,
 from .estimators import (EstimateReport, WeightVector, cv_diagnostic,
                          k0m_estimate, lagrange_weights, latane_estimate,
                          lognormal_closed_form, transform_estimate)
-from .measure_solver import (AtomicMeasure, InfeasibleError, SolveConfig,
-                             SolverStalledError, moment_residual, solve)
+from .measure_solver import (AtomicMeasure, InfeasibleError, moment_residual,
+                             solve)
 from .moments import (CancellationError, CumulantSamples, NormalizedMoments,
                       SymmetricMeans, TracePowers, boxcox_samples,
                       central_moments, cumulants, newton_maclaurin,

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import EstimateReport
-from .measure_solver import (DEFAULT_CONFIG, AtomicMeasure, SolveConfig,
-                             solve)
+from .measure_solver import AtomicMeasure, solve
 from .moments import NormalizedMoments, SymmetricMeans
 
 UPPER_KINDS = ("maclaurin", "rodin", "last_slope", "combined")
@@ -123,7 +122,7 @@ def _k2_lower_witness(M2: float, r: float) -> AtomicMeasure:
 
 
 def ktrace_bound(sense: str, nm: NormalizedMoments, k: int,
-                 r: float | None = None, cfg: SolveConfig = DEFAULT_CONFIG,
+                 r: float | None = None,
                  force_solver: bool = False) -> tuple[float, AtomicMeasure]:
     """Moment-constrained bound using traces ``1..k``.
 
@@ -152,10 +151,10 @@ def ktrace_bound(sense: str, nm: NormalizedMoments, k: int,
     M = nm.M[:k]
     if k == 2 and sense == "upper":  # force_solver path
         n = nm.n
-        obj, mu = solve("max", M, cfg=cfg,
-                        fixed_weights=np.array([(n - 1) / n, 1.0 / n]))
+        obj, mu = solve("max", M, fixed_weights=np.array([(n - 1) / n,
+                                                          1.0 / n]))
         return math.exp(obj), mu
-    obj, mu = solve("max" if sense == "upper" else "min", M, r=r, cfg=cfg)
+    obj, mu = solve("max" if sense == "upper" else "min", M, r=r)
     return math.exp(obj), mu
 
 
@@ -198,8 +197,7 @@ def gap_diagnostic(estimate: EstimateReport, lo: float,
 
 def bounds_report(nm: NormalizedMoments, ks=(2, 3, 4),
                   r: float | None = None,
-                  sm: SymmetricMeans | None = None,
-                  cfg: SolveConfig = DEFAULT_CONFIG) -> BoundsReport:
+                  sm: SymmetricMeans | None = None) -> BoundsReport:
     """Assemble every bound available from the given inputs.
 
     Solver failures and missing prerequisites degrade to warnings; the
@@ -220,7 +218,7 @@ def bounds_report(nm: NormalizedMoments, ks=(2, 3, 4),
         if k < 3 or k > nm.m:
             continue
         try:
-            val, _ = ktrace_bound("upper", nm, k, cfg=cfg)
+            val, _ = ktrace_bound("upper", nm, k)
             rep.upper[f"ktrace_{k}"] = val
         except RuntimeError as exc:
             rep.warnings.append(f"upper ktrace_{k}: {exc}")
@@ -230,7 +228,7 @@ def bounds_report(nm: NormalizedMoments, ks=(2, 3, 4),
             if k < 3 or k > nm.m:
                 continue
             try:
-                val, _ = ktrace_bound("lower", nm, k, r=r, cfg=cfg)
+                val, _ = ktrace_bound("lower", nm, k, r=r)
                 rep.lower[f"ktrace_{k}"] = val
             except RuntimeError as exc:
                 rep.warnings.append(f"lower ktrace_{k}: {exc}")

@@ -20,27 +20,26 @@ import numpy as np
 from . import analysis, bounds, io, noise, tables
 from .estimators import (cv_diagnostic, k0m_estimate, latane_estimate,
                          lognormal_closed_form, transform_estimate)
-from .measure_solver import InfeasibleError, SolverStalledError
+from .measure_solver import InfeasibleError
 from .moments import (CancellationError, boxcox_samples, central_moments,
                       cumulants, normalize,
                       symmetric_means_from_eigenvalues)
 from .report import certify
-from .spectra import exact_stats, generate, trace_powers
+from .spectra import FAMILIES, exact_stats, generate, trace_powers
 
-_NUMERICAL_ERRORS = (InfeasibleError, SolverStalledError, CancellationError,
-                     OverflowError)
+_NUMERICAL_ERRORS = (InfeasibleError, CancellationError, OverflowError)
 
 # geometric spectra discretize the log-uniform density, uniform the uniform
 _RADIUS_FAMILY = {"two_point": "two_point", "geometric": "log_uniform",
                   "uniform": "uniform"}
+# generated families; "custom" spectra come from --spectrum files
+_GEN_FAMILIES = tuple(f for f in FAMILIES if f != "custom")
 
 
 def _spectrum_args(p, need_m=True):
     p.add_argument("--traces", help="traces CSV (header n,k,p_k)")
     p.add_argument("--spectrum", help="spectrum JSON file")
-    p.add_argument("--family", choices=[f for f in
-                   ("geometric", "uniform", "lognormal", "two_point",
-                    "bimodal", "clustered")])
+    p.add_argument("--family", choices=_GEN_FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--kappa", type=float)
     p.add_argument("--seed", type=int)
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-spectrum", help="generate a benchmark spectrum")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=_GEN_FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--seed", type=int)
@@ -295,8 +294,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-run = main  # imperative alias for the programmatic surface
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,57 +1,39 @@
 """Moment-constrained atomic-measure programs behind the k-trace bounds.
 
-Solves, over discrete probability measures with at most ``k+1`` atoms,
+Maximizes or minimizes ``E[log X]`` over probability measures on
+``[lo, cap]`` with ``E[X**j] = M_j`` for ``j = 1..k``; ``lo`` is a tiny atom
+floor (max sense) or the spectral floor ``r`` (min sense), and
+``cap = 1e3 * M_k**(1/k)``.  The (k+1)-th derivative of log,
+``(-1)**k k! / x**(k+1)``, keeps one sign on ``(0, inf)``, so by the
+Markov-Krein theorem (Karlin & Studden, *Tchebycheff Systems*, 1966,
+ch. IV; Krein & Nudelman, *The Markov Moment Problem*, 1977) both optima
+are principal representations: canonical quadrature rules of the moments.
 
-    max/min  sum_i w_i log(x_i)
-    s.t.     sum_i w_i x_i**j = M_j   (j = 1..k),  sum_i w_i = 1,
-             x_i > 0 (min sense: x_i >= r with one atom pinned at r).
+    k      max sense                    min sense
+    odd    Gauss, (k+1)/2 nodes         Lobatto, nodes pinned at r and cap
+    even   Radau, node pinned at cap    Radau, node pinned at r
 
-Extremal measures of truncated moment problems are canonical quadrature
-rules of the moment sequence, so the multistart pool is seeded with
-Gauss rules (max sense) and fixed-node Radau rules (min sense) built
-from the moments themselves, plus ladders of far small-weight atoms that
-absorb surplus in the highest moments.  Those structured points are
-already feasible and sit at or near the optimum; SLSQP refinement and
-random restarts cover the rest.  Weights are re-solved by nonnegative
-least squares at fixed atoms before a candidate is admitted, which
-drives moment residuals down to linear-algebra precision.
+The rules come from the three-term recurrence of the moments, followed by
+a few Newton steps on the square moment system.  When the recurrence
+breaks down the moments lie on the boundary of the moment space: a
+single measure represents them, and it serves both senses.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-_BIG_CAP = 1e3  # atom cap multiplier on M_k**(1/k); never binds at optimum
+_BIG_CAP = 1e3  # atom cap multiplier on M_k**(1/k)
+_TOL_FEAS = 1e-8  # max moment residual, each scaled by max(1, M_j)
+_ATOM_FLOOR = 1e-12  # support floor of the max sense
+_SUPPORT_RTOL = 1e-9  # round-off allowed at the ends of [lo, cap]
 
 
 class InfeasibleError(RuntimeError):
-    """No restart produced a measure meeting the moment residual tolerance."""
-
-
-class SolverStalledError(RuntimeError):
-    """Every restart exhausted its iteration budget without converging."""
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    restarts: int = 8
-    max_iter: int = 500
-    tol_feas: float = 1e-8   # max moment residual, each scaled by max(1, M_j)
-    tol_opt: float = 1e-9
-    seed: int = 0
-    atom_floor: float = 1e-12
-
-    def __post_init__(self):
-        if min(self.tol_feas, self.tol_opt, self.atom_floor) <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_CONFIG = SolveConfig()
+    """No measure on the allowed support reproduces the moments."""
 
 
 @dataclass(frozen=True)
@@ -89,237 +71,119 @@ def moment_residual(mu: AtomicMeasure, M) -> float:
     return max(abs(mu.moment(j + 1) - M[j]) for j in range(M.size))
 
 
-# ---------------------------------------------------------------------------
-# canonical quadrature machinery (moments -> recurrence -> rules)
-# ---------------------------------------------------------------------------
-
 def _recurrence(mom: np.ndarray):
-    """Three-term recurrence coefficients from raw moments ``m_0..m_L``.
+    """Recurrence ``a_0..a_{(L-1)//2}``, ``b_0..b_{L//2}`` of ``m_0..m_L``.
 
-    Returns ``(a, b, exhausted)`` with as many coefficients as the moment
-    list supports: ``b_j`` for ``j <= L//2`` and ``a_j`` for
-    ``j <= (L-1)//2``.  ``exhausted`` is the truncation level at which the
-    underlying measure ran out of atoms (Hankel rank), or None.
+    Chebyshev's algorithm.  If ``||p_j||**2`` vanishes first, a j-atom
+    measure represents the moments: returns the coefficients below j and j.
     """
     L = mom.size - 1
-    nb = L // 2
-    na = (L - 1) // 2
-    a = np.full(na + 1, np.nan)
-    b = np.full(nb + 1, np.nan)
-    a[0] = mom[1] / mom[0]
-    b[0] = mom[0]
-    sig_prev = np.zeros(mom.size)
-    sig = mom.astype(float).copy()
-    for j in range(1, nb + 1):
-        sig_new = np.zeros(mom.size)
-        for l in range(j, L - j + 1):
-            sig_new[l] = (sig[l + 1] - a[j - 1] * sig[l]
-                          - b[j - 1] * sig_prev[l])
-        # sigma_{j,j} = ||p_j||^2 > 0 unless the measure has <= j atoms
+    a, b = [mom[1] / mom[0]], [mom[0]]
+    sig_prev, sig = np.zeros(L + 1), mom.astype(float)
+    for j in range(1, L // 2 + 1):
+        sig_new = np.zeros(L + 1)
+        i = np.arange(j, L - j + 1)
+        sig_new[i] = sig[i + 1] - a[j - 1] * sig[i] - b[j - 1] * sig_prev[i]
         if sig_new[j] <= 0 or sig_new[j] < 1e-13 * abs(sig[j - 1]):
-            return a[:j], b[:j], j
-        b[j] = sig_new[j] / sig[j - 1]
-        if j <= na:
-            a[j] = sig_new[j + 1] / sig_new[j] - sig[j] / sig[j - 1]
+            return np.array(a[:j]), np.array(b[:j]), j
+        b.append(sig_new[j] / sig[j - 1])
+        if j <= (L - 1) // 2:
+            a.append(sig_new[j + 1] / sig_new[j] - sig[j] / sig[j - 1])
         sig_prev, sig = sig, sig_new
-    return a, b, None
+    return np.array(a), np.array(b), None
 
 
-def _moment_scale(mom: np.ndarray) -> float:
-    # working on moments of x/c equilibrates the sigma recursion; the
-    # recurrence coefficients come back in x/c units
-    L = mom.size - 1
-    return max(mom[-1] ** (1.0 / L), 1e-8) if L >= 1 else 1.0
+def _jacobi_rule(diag, offdiag_sq):
+    """Nodes and unit-mass weights of a Jacobi matrix (Golub-Welsch)."""
+    if not np.all(np.isfinite(np.append(diag, offdiag_sq))):
+        raise InfeasibleError("the moments define no quadrature rule")
+    off = np.sqrt(offdiag_sq)
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                + np.diag(off, -1))
+    return vals, vecs[0] ** 2
 
 
-def _scaled_recurrence(mom: np.ndarray):
-    c = _moment_scale(mom)
-    ms = mom / c ** np.arange(mom.size)
-    a, b, exhausted = _recurrence(ms)
-    return a, b, exhausted, c
-
-
-def _rule_from_jacobi(diag, offdiag_sq, mass, c=1.0):
-    T = np.diag(diag) + np.diag(np.sqrt(offdiag_sq), 1) \
-        + np.diag(np.sqrt(offdiag_sq), -1)
-    vals, vecs = np.linalg.eigh(T)
-    return c * vals, mass * vecs[0] ** 2
-
-
-def _gauss_rule(mom: np.ndarray, J: int):
-    """J-point rule matching ``m_0..m_{2J-1}``; None if not constructible."""
-    a, b, exhausted, c = _scaled_recurrence(mom)
-    if exhausted is not None and exhausted < J:
-        J = exhausted
-    if len(a) < J or len(b) < J:
-        return None
-    return _rule_from_jacobi(a[:J], b[1:J], mom[0], c)
-
-
-def _monic_eval(a, b, r: float, j: int) -> tuple[float, float]:
-    """Values ``(p_{j-1}(r), p_j(r))`` of the monic orthogonal polynomials."""
+def _ratio(a, b, z: float) -> float:
+    """``p_{n-1}(z) / p_n(z)`` of the monic orthogonal polynomials, n = |a|."""
     pm, p = 0.0, 1.0
-    for i in range(j):
-        pm, p = p, (r - a[i]) * p - (b[i] * pm if i > 0 else 0.0)
-    return pm, p
+    for i in range(a.size):
+        pm, p = p, (z - a[i]) * p - (b[i] * pm if i > 0 else 0.0)
+    return pm / p if p != 0.0 else -math.inf
 
 
-def _radau_rule(mom: np.ndarray, r: float, J: int):
-    """J-point rule with one node pinned at ``r``, matching ``m_0..m_{2J-2}``."""
-    if J < 1:
-        return None
-    if J == 1:
-        return np.array([r]), np.array([mom[0]])
-    a, b, exhausted, c = _scaled_recurrence(mom)
-    n = J - 1
-    if exhausted is not None and exhausted <= n:
-        return _rule_from_jacobi(a[:exhausted], b[1:exhausted], mom[0], c)
-    if len(a) < n or len(b) < n + 1:
-        return None
-    rs = r / c
-    pm, p = _monic_eval(a, b, rs, n)
-    if p == 0.0:
-        return None
-    diag = np.concatenate([a[:n], [rs - b[n] * pm / p]])
-    return _rule_from_jacobi(diag, b[1:n + 1], mom[0], c)
+def _polish(x, w, free, mom):
+    """Newton steps on ``sum_i w_i x_i**j = m_j`` while the residual drops."""
+    js = np.arange(mom.size)[:, None]
+    res = ((x ** js) @ w - mom) / mom
+    for _ in range(6):
+        dx = js * x ** np.maximum(js - 1, 0) * w
+        J = np.hstack([dx[:, free], x ** js]) / mom[:, None]
+        norms = np.linalg.norm(J, axis=0)
+        norms[norms == 0] = 1.0
+        step = np.linalg.lstsq(J / norms, -res, rcond=None)[0] / norms
+        x2, w2 = x.copy(), w + step[free.sum():]
+        x2[free] += step[:free.sum()]
+        res2 = ((x2 ** js) @ w2 - mom) / mom
+        if np.any(w2 < 0) or not np.max(np.abs(res2)) < np.max(np.abs(res)):
+            break
+        x, w, res = x2, w2, res2
+    return x, w
 
 
-# ---------------------------------------------------------------------------
-# candidate assembly
-# ---------------------------------------------------------------------------
-
-def _nnls_weights(x: np.ndarray, Mfull: np.ndarray, scale: np.ndarray):
-    """Best nonnegative weights at fixed atoms; returns (w, scaled residual)."""
-    V = np.array([x ** j / scale[j] for j in range(Mfull.size)])
-    rhs = Mfull / scale
-    try:
-        w, _ = optimize.nnls(V, rhs, maxiter=max(200, 40 * x.size))
-    except RuntimeError:
-        w, *_ = np.linalg.lstsq(V, rhs, rcond=None)
-        w = np.clip(w, 0.0, None)
-    return w, float(np.max(np.abs(V @ w - rhs)))
-
-
-def _far_ladder(x_top: float, cap: float, count: int = 10) -> np.ndarray:
-    # moderate reach: far enough to absorb top-moment surplus at tiny
-    # weight, near enough that the weight polish stays well conditioned
-    hi = min(cap * 0.98, 100.0 * max(x_top, 1.0))
-    lo = min(2.0 * x_top, hi / 4.0)
-    return np.geomspace(lo, hi, count)
-
-
-def _structured_atoms(sense: str, Mfull: np.ndarray, r, cap: float):
-    """Atom sets built from canonical rules of the moment sequence.
-
-    Yields atom location arrays ordered from the most-constrained rule
-    (usually the optimum) downwards; each gets its weights from NNLS.
-    Surplus in the top moments is absorbed by a far-atom ladder, which
-    NNLS zeroes out whenever it is not needed.
-    """
+def _extremal(sense: str, Mfull: np.ndarray, lo: float, cap: float):
+    """Nodes and weights of the rule in the module table, before checks."""
     k = Mfull.size - 1
-    out = []
-    if sense == "max":
-        J_hi = max((k + 1) // 2, 1)
-        for J in range(J_hi, 0, -1):
-            rule = _gauss_rule(Mfull[:2 * J], J)
-            if rule is None:
-                continue
-            x = rule[0][rule[1] > 0]
-            x = x[x > 0]
-            if x.size:
-                out.append(np.concatenate([x, _far_ladder(x[-1], cap)]))
+    # moments of x/c equilibrate the recursion and the Newton system
+    c = max(Mfull[-1] ** (1.0 / k), 1e-8)
+    mom = Mfull / c ** np.arange(k + 1)
+    a, b, exhausted = _recurrence(mom)
+    pins = []  # locations of the pinned nodes
+    if exhausted is not None:  # boundary sequence: its unique measure
+        x, w = _jacobi_rule(a, b[1:])
+    elif k % 2 == 0:  # Radau: p_{n+1} vanishes at the pinned end
+        pins = [cap if sense == "max" else lo]
+        z = pins[0] / c
+        x, w = _jacobi_rule(np.append(a, z - b[-1] * _ratio(a, b, z)), b[1:])
     else:
-        J_hi = k // 2 + 1
-        for J in range(J_hi, 0, -1):
-            rule = _radau_rule(Mfull[:2 * J - 1], r, J)
-            if rule is None:
-                continue
-            x = np.unique(np.concatenate([[r], rule[0][rule[0] >= r * (1 - 1e-12)]]))
-            out.append(np.concatenate([x, _far_ladder(max(x[-1], 1.0), cap)]))
-    return out
+        bN = 0.0
+        if sense == "min":  # Lobatto: p_{N+1} vanishes at both ends
+            r_lo = _ratio(a, b, lo / c)
+            bN = (cap - lo) / c / (_ratio(a, b, cap / c) - r_lo)
+        if bN > 0:
+            pins = [lo, cap]
+            x, w = _jacobi_rule(np.append(a, lo / c - bN * r_lo),
+                                np.append(b[1:], bN))
+        else:  # Gauss, also when round-off at a floor drives a Lobatto bN <= 0
+            x, w = _jacobi_rule(a, b[1:])
+    fixed = [int(np.argmin(np.abs(c * x - z))) for z in pins]
+    free = ~np.isin(np.arange(x.size), fixed)
+    x[fixed] = np.array(pins) / c
+    x, w = _polish(x, w, free, mom)
+    x = c * x
+    x[fixed] = pins
+    return x, w
 
 
-def _try_exact_recovery(Mfull: np.ndarray, scale, tol: float):
-    """If the moments have a unique representing measure, return it.
-
-    Rank deficiency of the moment sequence (recurrence breakdown) means
-    some j-atom measure reproduces every moment; then the feasible set is
-    a single point and both senses share the optimum.
-    """
-    a, b, exhausted, c = _scaled_recurrence(Mfull)
-    if exhausted is None:
-        return None
-    x, w = _rule_from_jacobi(a[:exhausted], b[1:exhausted], Mfull[0], c)
-    keep = (w > 0) & (x > 0)
-    x, w = x[keep], w[keep]
-    if x.size == 0:
-        return None
-    w, resid = _nnls_weights(x, Mfull, scale)
-    if resid <= tol and w.sum() > 0.5:
-        return x, w
-    return None
+def _fixed_two_point(M: np.ndarray, w):
+    """Atoms ``1 - s sqrt(w_2/w_1)``, ``1 + s sqrt(w_1/w_2)``, s**2 = M_2-1."""
+    w = np.asarray(w, dtype=float)
+    if M.size != 2 or w.shape != (2,) or not np.all(w > 0):
+        raise ValueError("fixed_weights takes two positive weights and k = 2")
+    s = math.sqrt(M[1] - 1.0)
+    return np.array([1 - s * math.sqrt(w[1] / w[0]),
+                     1 + s * math.sqrt(w[0] / w[1])]), w
 
 
-# ---------------------------------------------------------------------------
-# SLSQP refinement
-# ---------------------------------------------------------------------------
-
-def _refine(sense, Mfull, scale, x0, w0, lo, hi, pin_first, max_iter):
-    na = x0.size
-    k1 = Mfull.size
-    sgn = -1.0 if sense == "max" else 1.0
-    ulo, uhi = math.log(lo), math.log(hi)
-    js = np.arange(k1)[:, None]
-
-    def obj(z):
-        return sgn * float(np.dot(z[na:], z[:na]))
-
-    def obj_jac(z):
-        return sgn * np.concatenate([z[na:], z[:na]])
-
-    def cons(z):
-        xp = np.exp(np.outer(js.ravel(), z[:na]))  # x**j rows
-        return (xp @ z[na:] - Mfull) / scale
-
-    def cons_jac(z):
-        x = np.exp(z[:na])
-        xp = x[None, :] ** js  # (k1, na)
-        du = js * xp * z[na:][None, :]
-        return np.hstack([du, xp]) / scale[:, None]
-
-    bounds = [(ulo, ulo) if (pin_first and i == 0) else (ulo, uhi)
-              for i in range(na)] + [(0.0, 1.0)] * na
-    z0 = np.concatenate([np.log(np.clip(x0, lo, hi)), w0])
-    with warnings.catch_warnings():
-        # the bounded-SLSQP clip notice is routine, not actionable
-        warnings.filterwarnings("ignore", message=".*outside bounds.*")
-        res = optimize.minimize(
-            obj, z0, jac=obj_jac, method="SLSQP", bounds=bounds,
-            constraints=[{"type": "eq", "fun": cons, "jac": cons_jac}],
-            options={"maxiter": max_iter, "ftol": 1e-12})
-    x = np.exp(np.clip(res.x[:na], ulo, uhi))
-    if pin_first:
-        x[0] = lo
-    return x, bool(res.status == 9)  # 9 = iteration limit
-
-
-# ---------------------------------------------------------------------------
-# main entry point
-# ---------------------------------------------------------------------------
-
-def solve(sense: str, M, r: float | None = None,
-          cfg: SolveConfig = DEFAULT_CONFIG, *,
+def solve(sense: str, M, r: float | None = None, *,
           fixed_weights=None) -> tuple[float, AtomicMeasure]:
     """Extremal ``E[log X]`` over measures matching moments ``M_1..M_k``.
 
-    ``sense`` is "max" or "min"; the min sense requires a support floor
-    ``r > 0`` and pins one atom there.  Returns ``(objective, witness)``
-    where the witness reproduces the moments within ``cfg.tol_feas``
-    (scaled by ``max(1, M_j)`` per moment).
-
-    With ``fixed_weights`` the weight vector is frozen and only atom
-    locations are optimized; used to cross-check closed-form bounds that
-    presuppose a weight profile.
+    ``sense`` is "max" or "min"; "min" needs a support floor ``r > 0``.
+    Returns ``(objective, witness)``, the witness within 1e-8 of every
+    moment (scaled by ``max(1, M_j)``) with atoms in ``[lo, cap]``, or
+    raises ``InfeasibleError``.  ``fixed_weights`` freezes the weights of
+    the lower and the upper atom (k = 2), which fixes both atoms; it
+    cross-checks closed forms that presuppose that profile.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -327,148 +191,29 @@ def solve(sense: str, M, r: float | None = None,
     k = M.size
     if k < 1 or abs(M[0] - 1.0) > 1e-12:
         raise ValueError("need normalized moments with M_1 = 1")
-    if sense == "min":
-        if r is None or r <= 0:
-            raise ValueError("min sense requires a floor r > 0")
-        if r >= 1.0 and (k < 2 or M[1] > 1.0):
-            raise InfeasibleError("floor r >= 1 is incompatible with M_1 = 1")
-    Mfull = np.concatenate([[1.0], M])
-    scale = np.maximum(1.0, Mfull)
-
-    if k >= 2:
-        if M[1] < 1.0 - 1e-12:
-            raise InfeasibleError("M_2 < 1 violates Jensen")
-        # point-mass degeneracy: M_2 = 1 forces X = 1 a.s.
-        if abs(M[1] - 1.0) <= 1e-12:
-            return 0.0, AtomicMeasure(np.array([1.0]), np.array([1.0]))
-    if k == 1 and sense == "max":
+    if sense == "min" and (r is None or r <= 0):
+        raise ValueError("min sense requires a floor r > 0")
+    if sense == "min" and r >= 1.0 and (k < 2 or M[1] > 1.0):
+        raise InfeasibleError("floor r >= 1 is incompatible with M_1 = 1")
+    if k >= 2 and M[1] < 1.0 - 1e-12:
+        raise InfeasibleError("M_2 < 1 violates Jensen")
+    # M_2 = 1 forces X = 1 a.s.; with k = 1 the point mass is the maximum
+    if (k >= 2 and M[1] <= 1.0 + 1e-12) or (k == 1 and sense == "max"):
         return 0.0, AtomicMeasure(np.array([1.0]), np.array([1.0]))
-
+    Mfull = np.concatenate([[1.0], M])
     cap = _BIG_CAP * max(M[-1] ** (1.0 / k), 1.0)
-    lo = r if sense == "min" else cfg.atom_floor
-    pin = sense == "min"
-
-    if fixed_weights is not None:
-        return _solve_fixed_weights(sense, Mfull, scale, np.asarray(
-            fixed_weights, dtype=float), lo, cap, cfg)
-
-    exact = _try_exact_recovery(Mfull, scale, cfg.tol_feas)
-    if exact is not None:
-        x, w = exact
-        if sense == "min" and x[0] < r * (1 - 1e-9):
-            raise InfeasibleError(
-                "floor r exceeds the support of the unique representing measure")
-        mu = _finalize(x, w, Mfull, scale, cfg)
-        return mu.log_mean(), mu
-
-    candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
-
-    def admit(x, w, resid):
-        if resid <= cfg.tol_feas and w.sum() > 0.5:
-            keep = w > 0
-            val = float(np.dot(w[keep], np.log(x[keep])))
-            candidates.append((val, x[keep], w[keep]))
-            return True
-        return False
-
-    # structured candidates from canonical rules of the moment sequence
-    structured = _structured_atoms(sense, Mfull, r, cap)
-    for xs in structured:
-        xs = np.clip(xs, lo, cap)
-        if pin:
-            xs[0] = r
-        w, resid = _nnls_weights(xs, Mfull, scale)
-        admit(xs, w, resid)
-
-    # SLSQP refinement from structured + generic + random starts
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    n_atoms = k + 1
-    for xs in structured[:2]:
-        xs = np.clip(xs[:n_atoms], lo, cap)
-        if xs.size < n_atoms:
-            pad = np.geomspace(max(lo, 0.3), min(cap, 3.0),
-                               n_atoms - xs.size)
-            xs = np.concatenate([xs, pad])
-        starts.append((np.sort(xs) if not pin else xs,
-                       np.full(n_atoms, 1.0 / n_atoms)))
-    hi0 = max(M[-1] ** (1.0 / k), 1.5)
-    starts.append((np.linspace(max(lo, 0.05), hi0, n_atoms),
-                   np.full(n_atoms, 1.0 / n_atoms)))
-    starts.append((np.geomspace(max(lo, 1e-3), hi0, n_atoms),
-                   np.full(n_atoms, 1.0 / n_atoms)))
-    n_random = max(cfg.restarts - len(starts), 0)
-    for t in range(n_random):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(t,)))
-        xs = np.clip(np.exp(rng.normal(0.0, 1.5, n_atoms))
-                     * M[-1] ** (1.0 / (2 * k)), lo, cap)
-        starts.append((xs, rng.dirichlet(np.ones(n_atoms))))
-
-    exhausted_all = True
-    for x0, w0 in starts:
-        x0 = x0.copy()
-        if pin:
-            x0[0] = r
-        x, hit_limit = _refine(sense, Mfull, scale, x0, w0, lo, cap,
-                               pin, cfg.max_iter)
-        exhausted_all &= hit_limit
-        w, resid = _nnls_weights(x, Mfull, scale)
-        admit(x, w, resid)
-
-    if not candidates:
-        if exhausted_all:
-            raise SolverStalledError(
-                "no restart converged within the iteration budget")
+    lo = r if sense == "min" else _ATOM_FLOOR
+    x, w = (_extremal(sense, Mfull, lo, cap) if fixed_weights is None
+            else _fixed_two_point(M, fixed_weights))
+    if not (x.min() >= lo * (1 - _SUPPORT_RTOL)
+            and x.max() <= cap * (1 + _SUPPORT_RTOL)):
         raise InfeasibleError(
-            "no restart met the moment residual tolerance")
-
-    better = max if sense == "max" else min
-    best_val = better(c[0] for c in candidates)
-    # ties broken by candidate order for determinism
-    val, x, w = next(c for c in candidates if c[0] == best_val)
-    mu = _finalize(x, w, Mfull, scale, cfg)
+            f"extremal measure has atoms in [{x.min():.6g}, {x.max():.6g}], "
+            f"outside the support [{lo:.6g}, {cap:.6g}]")
+    mu = AtomicMeasure(x, w / math.fsum(w))
+    resid = max(abs(mu.moment(j) - Mfull[j]) / max(1.0, Mfull[j])
+                for j in range(1, k + 1))
+    if not resid <= _TOL_FEAS:
+        raise InfeasibleError(f"extremal measure misses the moments by "
+                              f"{resid:.1e} (tolerance {_TOL_FEAS:.0e})")
     return mu.log_mean(), mu
-
-
-def _finalize(x, w, Mfull, scale, cfg) -> AtomicMeasure:
-    """Prune negligible atoms, renormalize, and repair the mass sum."""
-    keep = w >= cfg.atom_floor
-    if not np.all(keep) and keep.any():
-        w2, resid = _nnls_weights(x[keep], Mfull, scale)
-        if resid <= cfg.tol_feas:
-            x, w = x[keep], w2
-    s = math.fsum(w)
-    return AtomicMeasure(x, w / s)
-
-
-def _solve_fixed_weights(sense, Mfull, scale, w, lo, cap, cfg):
-    """Atom locations for a frozen weight profile (moment matching only)."""
-    na = w.size
-    k1 = Mfull.size
-    js = np.arange(k1)
-
-    def resid_vec(u):
-        x = np.exp(u)
-        return np.array([np.dot(w, x ** j) for j in js]) / scale - Mfull / scale
-
-    best = None
-    for t in range(cfg.restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(1000 + t,)))
-        if t == 0:
-            x0 = np.geomspace(max(lo, 0.1), max(Mfull[-1] ** (1 / (k1 - 1)), 1.5), na)
-        else:
-            x0 = np.clip(np.exp(rng.normal(0, 1.0, na)), lo, cap)
-        sol = optimize.least_squares(resid_vec, np.log(x0),
-                                     method="lm", max_nfev=2000)
-        resid = float(np.max(np.abs(sol.fun)))
-        if resid <= cfg.tol_feas:
-            x = np.exp(sol.x)
-            val = float(np.dot(w, np.log(x)))
-            if best is None or (sense == "max") == (val > best[0]):
-                best = (val, x)
-    if best is None:
-        raise InfeasibleError("fixed-weight moment system has no solution "
-                              "within tolerance")
-    val, x = best
-    return val, AtomicMeasure(x, w)

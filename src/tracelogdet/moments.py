@@ -45,6 +45,8 @@ class TracePowers:
             raise ValueError("n must be positive")
         if self.p.ndim != 1 or self.p.size < 1:
             raise ValueError("need at least p_1")
+        if not np.all(np.isfinite(self.p)):
+            raise ValueError("trace powers must be finite")
         if not np.all(self.p > 0):
             raise ValueError("trace powers of an SPD matrix must be positive")
 

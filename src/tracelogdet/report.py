@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 from . import bounds as bounds_mod
 from .estimators import EstimateReport, k0m_estimate
-from .measure_solver import DEFAULT_CONFIG, SolveConfig
 from .moments import (CancellationError, TracePowers, cumulants,
                       newton_maclaurin, normalize,
                       symmetric_means_from_eigenvalues)
@@ -87,8 +86,7 @@ class CertifiedReport:
 
 def certify(tp: TracePowers, m: int, r: float | None = None,
             ks=(2, 3, 4), spectrum: Spectrum | None = None,
-            input_desc: dict | None = None,
-            cfg: SolveConfig = DEFAULT_CONFIG) -> CertifiedReport:
+            input_desc: dict | None = None) -> CertifiedReport:
     """Full pipeline: traces -> estimate -> bounds -> certified interval.
 
     ``spectrum`` (when the eigenvalues are known, e.g. generated
@@ -112,7 +110,7 @@ def certify(tp: TracePowers, m: int, r: float | None = None,
         else:
             warnings.append(f"symmetric-mean bounds skipped: {exc}")
 
-    rep = bounds_mod.bounds_report(nm, ks=ks, r=r, sm=sm, cfg=cfg)
+    rep = bounds_mod.bounds_report(nm, ks=ks, r=r, sm=sm)
     warnings.extend(rep.warnings)
     if rep.U_best is None:
         raise RuntimeError("no upper bound could be computed")

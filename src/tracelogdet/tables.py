@@ -13,7 +13,6 @@ import numpy as np
 
 from . import analysis, bounds, noise
 from .estimators import (k0m_estimate, latane_estimate, transform_estimate)
-from .measure_solver import DEFAULT_CONFIG
 from .moments import (boxcox_samples, central_moments, cumulants, normalize,
                       symmetric_means_from_eigenvalues)
 from .spectra import exact_stats, generate, trace_powers
@@ -57,7 +56,7 @@ def optimal_m(seed=None):
     return header, rows
 
 
-def bounds_comparison(seed=0, cfg=DEFAULT_CONFIG):
+def bounds_comparison(seed=0):
     header = ["family", "k04_err_pct", "u2_gap", "u4_gap", "u8_gap",
               "ls_gap", "l2_gap", "l4_gap", "l8_gap"]
     rows = []
@@ -79,12 +78,12 @@ def bounds_comparison(seed=0, cfg=DEFAULT_CONFIG):
         est = k0m_estimate(cumulants(nm), 4)
         row = [fam, 100.0 * (est.kprime0_hat - true) / abs(true)]
         row.append(ugap(bounds.ktrace_bound("upper", nm, 2)[0]))
-        row.append(ugap(bounds.ktrace_bound("upper", nm, 4, cfg=cfg)[0]))
-        row.append(ugap(bounds.ktrace_bound("upper", nm, 8, cfg=cfg)[0]))
+        row.append(ugap(bounds.ktrace_bound("upper", nm, 4)[0]))
+        row.append(ugap(bounds.ktrace_bound("upper", nm, 8)[0]))
         row.append(ugap(bounds.closed_form_upper("last_slope", sm=sm, m=4)))
         row.append(lgap(bounds.ktrace_bound("lower", nm, 2, r=r)[0]))
-        row.append(lgap(bounds.ktrace_bound("lower", nm, 4, r=r, cfg=cfg)[0]))
-        row.append(lgap(bounds.ktrace_bound("lower", nm, 8, r=r, cfg=cfg)[0]))
+        row.append(lgap(bounds.ktrace_bound("lower", nm, 4, r=r)[0]))
+        row.append(lgap(bounds.ktrace_bound("lower", nm, 8, r=r)[0]))
         rows.append(row)
     return header, rows
 

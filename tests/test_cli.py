@@ -163,6 +163,16 @@ class TestExitCodes:
         assert run_cli("estimate", "--family", "geometric", "--n",
                        "1024") == 2
         assert run_cli("nonsense") == 2
+        # "custom" spectra come only from --spectrum files
+        for family in ("custom", "nonsense"):
+            assert run_cli("gen-spectrum", "--family", family, "--n", "8",
+                           "--kappa", "10") == 2
+
+    def test_nonfinite_traces(self, tmp_path, capsys):
+        path = tmp_path / "traces.csv"
+        path.write_text("n,k,p_k\n4,1,4\n4,2,inf\n4,3,9\n4,4,20\n")
+        assert run_cli("certify", "--traces", str(path)) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_numerical_failure(self, capsys):
         # kappa**m overflows the float range -> exit 3

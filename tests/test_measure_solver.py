@@ -5,7 +5,7 @@ import pytest
 
 from tracelogdet import moments, spectra
 from tracelogdet.measure_solver import (AtomicMeasure, InfeasibleError,
-                                        SolveConfig, moment_residual, solve)
+                                        moment_residual, solve)
 
 
 def _moments_of(family, n, kappa, k, seed=None):
@@ -82,6 +82,13 @@ class TestLowerClosedFormInstance:
         assert obj == pytest.approx(math.log(0.8), rel=1e-9)
         np.testing.assert_allclose(mu.x, [0.4, 1.6], rtol=1e-7)
 
+    @pytest.mark.parametrize("M,w", [([1.0, 1.36], [0.2, 0.3, 0.5]),
+                                     ([1.0, 1.36, 2.0], [0.5, 0.5]),
+                                     ([1.0, 1.36], [1.0, 0.0])])
+    def test_fixed_weights_other_shapes_rejected(self, M, w):
+        with pytest.raises(ValueError):
+            solve("max", M, fixed_weights=np.array(w))
+
 
 class TestContracts:
     @pytest.mark.parametrize("family,kappa", [("geometric", 10),
@@ -109,20 +116,23 @@ class TestContracts:
 
     def test_determinism(self):
         M, _, _ = _moments_of("uniform", 256, 40, 4)
-        cfg = SolveConfig(seed=42)
-        a_obj, a_mu = solve("max", M, cfg=cfg)
-        b_obj, b_mu = solve("max", M, cfg=cfg)
+        a_obj, a_mu = solve("max", M)
+        b_obj, b_mu = solve("max", M)
         assert a_obj == b_obj
         assert np.array_equal(a_mu.x, b_mu.x)
         assert np.array_equal(a_mu.w, b_mu.w)
 
-    def test_extremality_self_consistency(self):
+    @pytest.mark.parametrize("family", ["geometric", "clustered"])
+    @pytest.mark.parametrize("k", range(3, 8))
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_extremality_self_consistency(self, family, k, sense):
         # appending the witness's next moment as a constraint leaves the
         # optimum unchanged: the witness is already extremal for it
-        M, _, _ = _moments_of("geometric", 64, 10, 3)
-        obj, mu = solve("max", M)
-        M_next = np.append(M, mu.moment(4))
-        obj2, _ = solve("max", M_next)
+        M, st, s = _moments_of(family, 1024, 100, k, seed=20)
+        r = float(s.eigenvalues[0]) / st.am if sense == "min" else None
+        obj, mu = solve(sense, M, r=r)
+        M_next = np.append(M, mu.moment(k + 1))
+        obj2, _ = solve(sense, M_next, r=r)
         assert obj2 == pytest.approx(obj, abs=1e-6)
 
     @pytest.mark.parametrize("trial", range(12))
@@ -135,9 +145,9 @@ class TestContracts:
             lam[: trial % 5 + 1] *= rng.uniform(20, 200)
         s = spectra.custom_spectrum(lam)
         st = spectra.exact_stats(s)
-        nm = moments.normalize(spectra.trace_powers(s, 4))
+        nm = moments.normalize(spectra.trace_powers(s, 8))
         r = float(np.min(lam)) / st.am
-        for k in (3, 4):
+        for k in range(3, 9):
             u, _ = solve("max", nm.M[:k])
             l, _ = solve("min", nm.M[:k], r=r)
             assert u >= st.kprime0 - 1e-9

@@ -24,9 +24,12 @@ class TestNormalize:
         nm = moments.normalize(moments.TracePowers(n=4, p=[13, 103]))
         assert nm.M[1] == pytest.approx(4 * 103 / 169, rel=1e-14)
 
-    def test_rejects_nonpositive(self):
+    @pytest.mark.parametrize("p", [[6, -1], [6, np.inf], [np.inf, 14],
+                                   [6, np.nan]],
+                             ids=["negative", "inf_p2", "inf_p1", "nan"])
+    def test_rejects_nonpositive(self, p):
         with pytest.raises(ValueError):
-            moments.TracePowers(n=3, p=[6, -1])
+            moments.TracePowers(n=3, p=p)
 
     def test_cauchy_schwarz(self):
         for family in FAMILIES:
