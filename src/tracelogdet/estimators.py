@@ -10,6 +10,7 @@ series, and the transformed-sample variant for arbitrary power transforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,17 +48,23 @@ class EstimateReport:
     alpha: complex | None = None
 
 
+@functools.lru_cache(maxsize=None)
 def lagrange_weights(m: int) -> WeightVector:
-    """Exact interpolation derivative weights for nodes ``{0, 1, ..., m}``."""
+    """Exact interpolation derivative weights for nodes ``{0, 1, ..., m}``.
+
+    Cached per order; the shared float array is read-only.
+    """
     if not 2 <= m <= _MAX_ORDER:
         raise ValueError(f"m must lie in [2, {_MAX_ORDER}]")
     w_exact = tuple(Fraction((-1) ** (j - 1) * math.comb(m, j), j)
                     for j in range(1, m + 1))
     w0_exact = -sum(Fraction(1, k) for k in range(1, m + 1))
+    w = np.array([float(f) for f in w_exact])
+    w.flags.writeable = False
     return WeightVector(
         m=m,
         w0=float(w0_exact),
-        w=np.array([float(f) for f in w_exact]),
+        w=w,
         w0_exact=w0_exact,
         w_exact=w_exact,
     )

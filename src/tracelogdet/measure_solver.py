@@ -116,6 +116,8 @@ def _polish(x, w, free, mom):
     js = np.arange(mom.size)[:, None]
     res = ((x ** js) @ w - mom) / mom
     for _ in range(6):
+        if np.max(np.abs(res)) < 1e-14:  # already at round-off
+            break
         dx = js * x ** np.maximum(js - 1, 0) * w
         J = np.hstack([dx[:, free], x ** js]) / mom[:, None]
         norms = np.linalg.norm(J, axis=0)

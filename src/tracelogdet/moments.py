@@ -104,19 +104,26 @@ class SymmetricMeans:
     slopes: np.ndarray
 
 
-def normalize(tp: TracePowers) -> NormalizedMoments:
-    """Trace powers to normalized moments, forcing ``M_1 = 1`` exactly."""
-    n, p = tp.n, tp.p
-    am = p[0] / n
-    ks = np.arange(1, tp.m + 1)
+def _normalized_powers(p: np.ndarray, n: int) -> np.ndarray:
+    """``M_k = n**(k-1) * p_k / p_1**k`` along the last axis, ``M_1 = 1``."""
+    am = p[..., :1] / n
+    ks = np.arange(1, p.shape[-1] + 1)
     with np.errstate(over="ignore"):
         M = p / (n * am ** ks)
     if not np.all(np.isfinite(M)):
         # rescaling overflowed even though M_k itself is representable
-        logM = np.log(p) + (ks - 1) * math.log(n) - ks * math.log(p[0])
-        M = np.exp(logM)
-    M[0] = 1.0
-    return NormalizedMoments(n=n, M=M)
+        rows, prows = M.reshape(-1, ks.size), p.reshape(-1, ks.size)
+        for i in np.flatnonzero(~np.all(np.isfinite(rows), axis=1)):
+            logM = (np.log(prows[i]) + (ks - 1) * math.log(n)
+                    - ks * math.log(prows[i, 0]))
+            rows[i] = np.exp(logM)
+    M[..., 0] = 1.0
+    return M
+
+
+def normalize(tp: TracePowers) -> NormalizedMoments:
+    """Trace powers to normalized moments, forcing ``M_1 = 1`` exactly."""
+    return NormalizedMoments(n=tp.n, M=_normalized_powers(tp.p, tp.n))
 
 
 def cumulants(nm: NormalizedMoments) -> CumulantSamples:

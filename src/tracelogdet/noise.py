@@ -13,18 +13,13 @@ every moment by ``p_1**k``, which correlates all samples with eps_1.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
-from .estimators import k0m_estimate, lagrange_weights
-from .moments import TracePowers, cumulants, normalize
+from .estimators import lagrange_weights
+from .moments import TracePowers, _normalized_powers
 from .spectra import Spectrum, exact_stats, trace_powers
-
-THREADS_ENV = "TRACELOGDET_THREADS"
 
 # resample threshold: a draw at or below -1 would flip the trace sign
 _TRUNC_AT = -1.0 + 1e-6
@@ -66,7 +61,7 @@ class NoiseStats:
 
 def _trial_rng(seed: int, trial: int | None) -> np.random.Generator:
     # counter construction: trial t gets the same stream regardless of
-    # execution order, so parallel and serial runs agree bit for bit
+    # execution order or of how many trials run
     key = (trial,) if trial is not None else ()
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -135,11 +130,15 @@ def optimal_order(bias_by_m: dict[int, float], eta: float) -> int:
 def weight_norm_fit(m_range, norms=None) -> tuple[float, float, float]:
     """Fit ``||w||_2 = c * 2**m / m**a`` over integer orders ``m_range``.
 
-    Nonlinear least squares on the raw norms (the log-linearized fit
-    downweights the large-m values and lands on a visibly different
-    exponent).  Returns ``(c, a, r_squared)`` with r-squared computed on
-    the raw values.  ``norms`` overrides the exact weight norms, which
-    lets the fit be validated on synthetic inputs.
+    Least squares on the raw norms (the log-linearized fit downweights the
+    large-m values and lands on a visibly different exponent), solved by
+    variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973): the
+    model is linear in ``c``, so for fixed ``a`` the best ``c`` is
+    ``f.y / f.f`` with ``f = 2**m / m**a``, and bisection on the derivative
+    of the projected residual finds ``a`` in ``[0, 3]``.  Returns
+    ``(c, a, r_squared)`` with r-squared computed on the raw values.
+    ``norms`` overrides the exact weight norms, which lets the fit be
+    validated on synthetic inputs.
     """
     ms = np.array(sorted(m_range), dtype=float)
     if ms.size < 3:
@@ -147,23 +146,26 @@ def weight_norm_fit(m_range, norms=None) -> tuple[float, float, float]:
     if norms is None:
         norms = [theory(int(m), 0.0).weight_norm for m in ms]
     norms = np.asarray(norms, dtype=float)
+    logm = np.log(ms)
 
-    def model(m, c, a):
-        return c * 2.0 ** m / m ** a
+    def project(a):
+        f = 2.0 ** ms / ms ** a
+        c = float(f @ norms / (f @ f))
+        return c, f, norms - c * f
 
-    popt, _ = curve_fit(model, ms, norms, p0=(2.0 / math.pi ** 0.25, 1.25))
-    pred = model(ms, *popt)
-    ss_res = float(np.sum((norms - pred) ** 2))
+    lo, hi = 0.0, 3.0
+    for _ in range(60):  # halves [0, 3] down to round-off
+        a = 0.5 * (lo + hi)
+        c, f, res = project(a)
+        # d/da ||y - c f||**2 at the projected c (f' = -log(m) f)
+        if c * float(res @ (logm * f)) > 0:
+            hi = a
+        else:
+            lo = a
+    ss_res = float(res @ res)
     ss_tot = float(np.sum((norms - norms.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(popt[0]), float(popt[1]), r2
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+    return c, a, r2
 
 
 def monte_carlo(s: Spectrum, m: int, eta: float, trials: int,
@@ -171,27 +173,25 @@ def monte_carlo(s: Spectrum, m: int, eta: float, trials: int,
     """Empirical bias/SD/RMSE of the order-m estimate under trace noise.
 
     Per-trial seeds are derived from ``(seed, trial)``, so the statistics
-    are independent of execution order and thread count.
+    do not depend on the order of the trials.  The perturbed traces are
+    stacked into a (trials, m) matrix, and each row gets the order-m
+    interpolation estimate: the same arithmetic as ``normalize``,
+    ``cumulants`` and ``k0m_estimate``, with its compensated sum.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     truth = exact_stats(s).kprime0
     tp = trace_powers(s, m)
     ns = NoiseSpec(eta=eta, seed=seed)
-
-    def one(t: int) -> tuple[float, int]:
+    P = np.empty((trials, m))
+    truncations = 0
+    for t in range(trials):
         noisy, trunc = perturb(tp, ns, trial=t)
-        est = k0m_estimate(cumulants(normalize(noisy)), m)
-        return est.kprime0_hat, trunc
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(t) for t in range(trials)]
-    ests = np.array([v for v, _ in results])
-    truncations = sum(c for _, c in results)
+        P[t] = noisy.p
+        truncations += trunc
+    logM = np.log(_normalized_powers(P, tp.n))
+    terms = logM[:, 1:] * lagrange_weights(m).w[1:]
+    ests = np.array([math.fsum(row) for row in terms.tolist()])
     bias = float(np.mean(ests) - truth)
     sd = float(np.std(ests))
     rmse = math.sqrt(float(np.mean((ests - truth) ** 2)))

@@ -12,7 +12,7 @@ from tracelogdet.report import CertifiedReport, certify
 
 GOLDEN = Path(__file__).parent / "golden"
 # solver-free tables are byte-pinned; solver/Monte-Carlo tables are checked
-# for determinism instead (their bytes may drift across scipy versions)
+# for determinism instead (their bytes may drift across numpy versions)
 GOLDEN_TABLES = ("alpha", "radius-scan", "asymptotic", "k0m-errors",
                  "optimal-m", "saturation")
 
@@ -186,6 +186,15 @@ class TestExitCodes:
              "--table", "alpha"], capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.startswith("m,weight_norm")
+
+    def test_imports_no_scipy(self):
+        code = ("import sys, tracelogdet.cli; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' "
+                "or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestReproduce:

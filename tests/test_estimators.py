@@ -54,6 +54,12 @@ class TestWeights:
         assert abs(math.fsum(j * w for j, w in enumerate(wv.w, 1)) - 1.0) \
             <= 1e-12 * term_scale
 
+    def test_cached_and_read_only(self):
+        wv = estimators.lagrange_weights(5)
+        assert estimators.lagrange_weights(5) is wv
+        with pytest.raises(ValueError):
+            wv.w[0] = 0.0
+
     def test_range_guard(self):
         with pytest.raises(ValueError):
             estimators.lagrange_weights(1)

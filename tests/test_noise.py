@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -156,9 +155,24 @@ class TestMonteCarlo:
         assert envelope / math.sqrt(2) * 0.85 <= stats.rmse \
             <= math.sqrt(2) * envelope * 1.15
 
-    def test_parallel_matches_serial(self, geo100, monkeypatch):
-        s, _, _ = geo100
-        serial = noise.monte_carlo(s, 4, 0.01, 64, seed=17)
-        monkeypatch.setenv(noise.THREADS_ENV, "4")
-        parallel = noise.monte_carlo(s, 4, 0.01, 64, seed=17)
-        assert serial == parallel
+    @pytest.mark.parametrize("eta", [0.01, 0.45])
+    def test_matches_scalar_pipeline(self, geo100, eta):
+        # eta = 0.45 forces truncation redraws
+        s, st, _ = geo100
+        m, trials, seed = 4, 64, 17
+        tp = spectra.trace_powers(s, m)
+        ns = noise.NoiseSpec(eta=eta, seed=seed)
+        ests, truncations = [], 0
+        for t in range(trials):
+            noisy, trunc = noise.perturb(tp, ns, trial=t)
+            K = moments.cumulants(moments.normalize(noisy))
+            ests.append(estimators.k0m_estimate(K, m).kprime0_hat)
+            truncations += trunc
+        ests = np.array(ests)
+        expect = noise.NoiseStats(
+            trials=trials, bias=float(np.mean(ests) - st.kprime0),
+            sd=float(np.std(ests)),
+            rmse=math.sqrt(float(np.mean((ests - st.kprime0) ** 2))),
+            truncations=truncations)
+        assert noise.monte_carlo(s, m, eta, trials, seed=seed) == expect
+        assert (truncations > 0) == (eta == 0.45)
