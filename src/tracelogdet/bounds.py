@@ -12,26 +12,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .estimators import EstimateReport
 from .measure_solver import AtomicMeasure, solve
-from .moments import NormalizedMoments, SymmetricMeans
+from .moments import (CancellationError, NormalizedMoments, SymmetricMeans,
+                      newton_maclaurin, symmetric_means_from_eigenvalues)
 
 UPPER_KINDS = ("maclaurin", "rodin", "last_slope", "combined")
 
 
 @dataclass
 class BoundsReport:
-    """All computed bounds plus the certified log-det interval."""
+    """Every bound computed from one set of moments, and the best per side."""
 
     upper: dict[str, float] = field(default_factory=dict)
     lower: dict[str, float] = field(default_factory=dict)
     U_best: float | None = None
     L_best: float | None = None
     floor_r: float | None = None
-    logdet_interval: tuple[float, float] | None = None
-    verdict: str | None = None
     warnings: list[str] = field(default_factory=list)
 
     def finalize_best(self):
@@ -49,16 +46,26 @@ class GapDiagnostic:
     width: float
 
 
-def rodin_upper(M2: float, n: int) -> float:
-    """Sharp mean-variance upper bound; equality for two-point spectra."""
+def _geometric_mean(x, w) -> float:
+    """``prod x_i ** w_i``: the GM/AM value of an atomic witness."""
+    return math.prod(xi ** wi for xi, wi in zip(x, w))
+
+
+def _rodin_atoms(M2: float, n: int):
+    """Atoms and weights of the two-point spectrum attaining Rodin's bound."""
     if M2 < 1.0:
         raise ValueError("M_2 < 1 violates Jensen")
     if n < 2:
-        return 1.0
+        return [1.0], [1.0]
     d = math.sqrt((M2 - 1.0) / (n - 1))
     if d >= 1.0:
         raise ValueError("M_2 too large for the given n (no real spectrum)")
-    return (1.0 - d) ** ((n - 1) / n) * (1.0 + (n - 1) * d) ** (1.0 / n)
+    return [1.0 - d, 1.0 + (n - 1) * d], [(n - 1) / n, 1.0 / n]
+
+
+def rodin_upper(M2: float, n: int) -> float:
+    """Sharp mean-variance upper bound; equality for two-point spectra."""
+    return _geometric_mean(*_rodin_atoms(M2, n))
 
 
 def closed_form_upper(kind: str, sm: SymmetricMeans | None = None,
@@ -94,43 +101,31 @@ def closed_form_upper(kind: str, sm: SymmetricMeans | None = None,
     return math.exp((sm.logE[m - 1] + (sm.n - m) * sm.slopes[m - 1]) / sm.n)
 
 
-def lower_k2_closed(M2: float, r: float) -> float:
-    """Two-moment lower bound with floor r; sharp for two-point spectra."""
+def _k2_lower_atoms(M2: float, r: float):
+    """Atoms and weights of the two-point measure pinned at the floor r."""
     if M2 < 1.0:
         raise ValueError("M_2 < 1 violates Jensen")
     if M2 == 1.0:
-        return 1.0
+        return [1.0], [1.0]
     if not 0.0 < r < 1.0:
         raise ValueError("floor must satisfy 0 < r < 1 when M_2 > 1")
     w1 = (M2 - 1.0) / ((r - 1.0) ** 2 + (M2 - 1.0))
     x2 = (1.0 - w1 * r) / (1.0 - w1)
-    return r ** w1 * x2 ** (1.0 - w1)
+    return [r, x2], [w1, 1.0 - w1]
 
 
-def _rodin_witness(M2: float, n: int) -> AtomicMeasure:
-    d = math.sqrt((M2 - 1.0) / (n - 1))
-    return AtomicMeasure(np.array([1.0 - d, 1.0 + (n - 1) * d]),
-                         np.array([(n - 1) / n, 1.0 / n]))
-
-
-def _k2_lower_witness(M2: float, r: float) -> AtomicMeasure:
-    if M2 == 1.0:
-        return AtomicMeasure(np.array([1.0]), np.array([1.0]))
-    w1 = (M2 - 1.0) / ((r - 1.0) ** 2 + (M2 - 1.0))
-    x2 = (1.0 - w1 * r) / (1.0 - w1)
-    return AtomicMeasure(np.array([r, x2]), np.array([w1, 1.0 - w1]))
+def lower_k2_closed(M2: float, r: float) -> float:
+    """Two-moment lower bound with floor r; sharp for two-point spectra."""
+    return _geometric_mean(*_k2_lower_atoms(M2, r))
 
 
 def ktrace_bound(sense: str, nm: NormalizedMoments, k: int,
-                 r: float | None = None,
-                 force_solver: bool = False) -> tuple[float, AtomicMeasure]:
+                 r: float | None = None) -> tuple[float, AtomicMeasure]:
     """Moment-constrained bound using traces ``1..k``.
 
     k = 2 dispatches to the closed forms (upper: finite-n two-point bound,
-    lower: the pinned-floor two-atom formula); k >= 3 solves the
-    ``(k+1)``-atom program.  ``force_solver`` routes k = 2 through the
-    solver as a conformance cross-check: the upper case freezes the
-    two-point weight profile ``((n-1)/n, 1/n)`` the closed form assumes.
+    lower: the pinned-floor two-atom formula), whose value is the geometric
+    mean of the returned witness; k >= 3 solves the ``(k+1)``-atom program.
     """
     if sense not in ("upper", "lower"):
         raise ValueError("sense must be 'upper' or 'lower'")
@@ -139,22 +134,15 @@ def ktrace_bound(sense: str, nm: NormalizedMoments, k: int,
     if sense == "lower" and (r is None or r <= 0):
         raise ValueError("lower bound requires a floor r > 0")
 
-    if k == 2 and not force_solver:
-        M2 = nm.M[1]
-        if sense == "upper":
-            return rodin_upper(M2, nm.n), _rodin_witness(M2, nm.n)
-        return lower_k2_closed(M2, r), _k2_lower_witness(M2, r)
+    if k == 2:
+        x, w = (_rodin_atoms(nm.M[1], nm.n) if sense == "upper"
+                else _k2_lower_atoms(nm.M[1], r))
+        return _geometric_mean(x, w), AtomicMeasure(x, w)
 
     if k == 1 and sense == "upper":
-        return 1.0, AtomicMeasure(np.array([1.0]), np.array([1.0]))
+        return 1.0, AtomicMeasure([1.0], [1.0])
 
-    M = nm.M[:k]
-    if k == 2 and sense == "upper":  # force_solver path
-        n = nm.n
-        obj, mu = solve("max", M, fixed_weights=np.array([(n - 1) / n,
-                                                          1.0 / n]))
-        return math.exp(obj), mu
-    obj, mu = solve("max" if sense == "upper" else "min", M, r=r)
+    obj, mu = solve("max" if sense == "upper" else "min", nm.M[:k], r=r)
     return math.exp(obj), mu
 
 
@@ -197,42 +185,47 @@ def gap_diagnostic(estimate: EstimateReport, lo: float,
 
 def bounds_report(nm: NormalizedMoments, ks=(2, 3, 4),
                   r: float | None = None,
-                  sm: SymmetricMeans | None = None) -> BoundsReport:
+                  eigenvalues=None) -> BoundsReport:
     """Assemble every bound available from the given inputs.
 
-    Solver failures and missing prerequisites degrade to warnings; the
-    report carries whatever could be computed.
+    The symmetric-mean bounds come from Newton's identities on ``M_1..M_4``;
+    ``eigenvalues``, when known, replace them only if those cancel.  Solver
+    failures and missing prerequisites degrade to warnings; the report
+    carries whatever could be computed.
     """
+    if nm.m < 2:
+        raise ValueError("bounds need at least the traces p_1 and p_2")
     rep = BoundsReport(floor_r=r)
-    M2 = nm.M[1] if nm.m >= 2 else None
-    if M2 is not None:
-        rep.upper["rodin"] = rodin_upper(M2, nm.n)
+    m_top = min(4, nm.m)
+    sm = None
+    try:
+        sm = newton_maclaurin(nm.n * nm.M[:m_top], nm.n)
+    except CancellationError as exc:
+        if eigenvalues is not None:
+            sm = symmetric_means_from_eigenvalues(eigenvalues, m_top)
+        else:
+            rep.warnings.append(f"symmetric-mean bounds skipped: {exc}")
+    M2 = nm.M[1]
+    rep.upper["rodin"] = rodin_upper(M2, nm.n)
     if sm is not None:
-        m_top = min(4, sm.logE.size)
         rep.upper[f"maclaurin_{m_top}"] = closed_form_upper(
             "maclaurin", sm=sm, m=m_top)
-        if m_top >= 2:
-            rep.upper[f"last_slope_{m_top}"] = closed_form_upper(
-                "last_slope", sm=sm, m=m_top)
-    for k in ks:
-        if k < 3 or k > nm.m:
-            continue
+        rep.upper[f"last_slope_{m_top}"] = closed_form_upper(
+            "last_slope", sm=sm, m=m_top)
+    solver_ks = [k for k in ks if 3 <= k <= nm.m]
+    for k in solver_ks:
         try:
             val, _ = ktrace_bound("upper", nm, k)
             rep.upper[f"ktrace_{k}"] = val
         except RuntimeError as exc:
             rep.warnings.append(f"upper ktrace_{k}: {exc}")
-    if r is not None and M2 is not None:
+    if r is not None:
         rep.lower["k2_closed"] = lower_k2_closed(M2, r)
-        for k in ks:
-            if k < 3 or k > nm.m:
-                continue
+        for k in solver_ks:
             try:
                 val, _ = ktrace_bound("lower", nm, k, r=r)
                 rep.lower[f"ktrace_{k}"] = val
             except RuntimeError as exc:
                 rep.warnings.append(f"lower ktrace_{k}: {exc}")
-        if not rep.lower:
-            rep.verdict = "no_lower_bound"
     rep.finalize_best()
     return rep

@@ -15,15 +15,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import analysis, bounds, io, noise, tables
 from .estimators import (cv_diagnostic, k0m_estimate, latane_estimate,
                          lognormal_closed_form, transform_estimate)
 from .measure_solver import InfeasibleError
 from .moments import (CancellationError, boxcox_samples, central_moments,
-                      cumulants, normalize,
-                      symmetric_means_from_eigenvalues)
+                      cumulants, normalize)
 from .report import certify
 from .spectra import FAMILIES, exact_stats, generate, trace_powers
 
@@ -64,18 +61,18 @@ def _resolve_input(args, m):
     return trace_powers(s, m), s, desc
 
 
+def _write_json(path, text: str):
+    with io._open_out(path) as fh:
+        fh.write(text + "\n")
+
+
 def _emit(args, header, rows):
     if getattr(args, "format", "json") == "csv":
         io.write_csv(args.out, header, rows)
     else:
         payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload if len(payload) > 1 else payload[0],
-                          indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write_json(args.out, json.dumps(
+            payload if len(payload) > 1 else payload[0], indent=2))
 
 
 def _cmd_gen_spectrum(args):
@@ -120,25 +117,21 @@ def _cmd_estimate(args):
 
 def _cmd_bounds(args):
     tp, s, _ = _resolve_input(args, max(args.m, args.k))
-    nm = normalize(tp)
-    sm = None
-    if s is not None:
-        sm = symmetric_means_from_eigenvalues(s.eigenvalues, min(4, nm.m))
-    ks = tuple(k for k in range(2, args.k + 1))
-    rep = bounds.bounds_report(nm, ks=ks, r=args.floor, sm=sm)
-    header = ["bound", "side", "gm_over_am", "logdet"]
-    rows = []
-    base = tp.n * np.log(tp.p[0] / tp.n)
-    for name, val in sorted(rep.upper.items()):
-        rows.append([name, "upper", val, float(base + tp.n * np.log(val))])
-    for name, val in sorted(rep.lower.items()):
-        rows.append([name, "lower", val, float(base + tp.n * np.log(val))])
-    rows.append(["best", "upper", rep.U_best,
-                 float(base + tp.n * np.log(rep.U_best))])
+    rep = bounds.bounds_report(
+        normalize(tp), ks=tuple(range(2, args.k + 1)), r=args.floor,
+        eigenvalues=None if s is None else s.eigenvalues)
+    for text in rep.warnings:
+        print(f"warning: {text}", file=sys.stderr)
+    rows = [[name, side, val] for side, vals in (("upper", rep.upper),
+                                                 ("lower", rep.lower))
+            for name, val in sorted(vals.items())]
+    rows.append(["best", "upper", rep.U_best])
     if rep.L_best is not None:
-        rows.append(["best", "lower", rep.L_best,
-                     float(base + tp.n * np.log(rep.L_best))])
-    _emit(args, header, rows)
+        rows.append(["best", "lower", rep.L_best])
+    # log det = n (log AM + log GM/AM), as the certified interval has it
+    for row in rows:
+        row.append(bounds.certified_interval(tp.p[0], tp.n, row[2])[1])
+    _emit(args, ["bound", "side", "gm_over_am", "logdet"], rows)
     return 0
 
 
@@ -147,12 +140,7 @@ def _cmd_certify(args):
     ks = tuple(k for k in range(2, args.k + 1))
     rep = certify(tp, args.m, r=args.floor, ks=ks, spectrum=s,
                   input_desc=desc)
-    text = rep.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, rep.to_json())
     return 0
 
 

@@ -108,7 +108,7 @@ def _normalized_powers(p: np.ndarray, n: int) -> np.ndarray:
     """``M_k = n**(k-1) * p_k / p_1**k`` along the last axis, ``M_1 = 1``."""
     am = p[..., :1] / n
     ks = np.arange(1, p.shape[-1] + 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         M = p / (n * am ** ks)
     if not np.all(np.isfinite(M)):
         # rescaling overflowed even though M_k itself is representable

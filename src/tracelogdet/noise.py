@@ -31,13 +31,10 @@ class NoiseSpec:
 
     eta: float
     seed: int
-    distribution: str = "gaussian"
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("eta must be nonnegative")
-        if self.distribution != "gaussian":
-            raise ValueError("only gaussian noise is implemented")
 
 
 @dataclass(frozen=True)

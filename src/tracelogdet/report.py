@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from .estimators import EstimateReport, k0m_estimate
-from .moments import (CancellationError, TracePowers, cumulants,
-                      newton_maclaurin, normalize,
-                      symmetric_means_from_eigenvalues)
+from .moments import TracePowers, cumulants, normalize
 from .spectra import Spectrum
 
 
@@ -20,7 +17,8 @@ class CertifiedReport:
     """Point estimate plus certified interval for log det, with verdict.
 
     ``clipped_logdet`` is the deliverable number: the estimate when it
-    falls inside the interval, otherwise the nearest endpoint.
+    falls inside the interval, otherwise the nearest endpoint.  The
+    warnings are those of the bounds.
     """
 
     input: dict
@@ -30,7 +28,10 @@ class CertifiedReport:
     interval: tuple[float, float]
     verdict: str
     clipped_logdet: float
-    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def warnings(self) -> list[str]:
+        return self.bounds.warnings
 
     def to_dict(self) -> dict:
         lo, hi = self.interval
@@ -68,13 +69,13 @@ class CertifiedReport:
         b = d["bounds"]
         brep = bounds_mod.BoundsReport(
             upper=dict(b["upper"]), lower=dict(b["lower"]),
-            U_best=b["U_best"], L_best=b["L_best"], floor_r=b["floor_r"])
+            U_best=b["U_best"], L_best=b["L_best"], floor_r=b["floor_r"],
+            warnings=list(d["warnings"]))
         lo, hi = d["interval"]
         return cls(input=dict(d["input"]), m=d["m"], estimate=estimate,
                    bounds=brep,
                    interval=(-math.inf if lo is None else lo, hi),
-                   verdict=d["verdict"], clipped_logdet=d["clipped_logdet"],
-                   warnings=list(d["warnings"]))
+                   verdict=d["verdict"], clipped_logdet=d["clipped_logdet"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -98,29 +99,13 @@ def certify(tp: TracePowers, m: int, r: float | None = None,
     nm = normalize(tp)
     am = tp.p[0] / tp.n
     est = k0m_estimate(cumulants(nm), m, n=tp.n, am=am)
-
-    warnings: list[str] = []
-    sm = None
-    try:
-        sm = newton_maclaurin(tp.n * nm.M[:min(4, nm.m)], tp.n)
-    except CancellationError as exc:
-        if spectrum is not None:
-            sm = symmetric_means_from_eigenvalues(
-                spectrum.eigenvalues, min(4, nm.m))
-        else:
-            warnings.append(f"symmetric-mean bounds skipped: {exc}")
-
-    rep = bounds_mod.bounds_report(nm, ks=ks, r=r, sm=sm)
-    warnings.extend(rep.warnings)
-    if rep.U_best is None:
-        raise RuntimeError("no upper bound could be computed")
+    rep = bounds_mod.bounds_report(
+        nm, ks=ks, r=r,
+        eigenvalues=None if spectrum is None else spectrum.eigenvalues)
     interval = bounds_mod.certified_interval(tp.p[0], tp.n, rep.U_best,
                                              rep.L_best)
     diag = bounds_mod.gap_diagnostic(est, *interval)
-    rep.logdet_interval = interval
-    rep.verdict = diag.verdict
     return CertifiedReport(
         input=input_desc or {"n": tp.n, "m": tp.m},
         m=m, estimate=est, bounds=rep, interval=interval,
-        verdict=diag.verdict, clipped_logdet=diag.clipped,
-        warnings=warnings)
+        verdict=diag.verdict, clipped_logdet=diag.clipped)

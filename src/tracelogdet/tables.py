@@ -24,10 +24,6 @@ BENCH_FAMILIES = ("geometric", "uniform", "lognormal", "two_point",
                   "bimodal", "clustered")
 BOXCOX_KAPPAS = (5, 10, 20, 50, 100, 200, 500, 1000)
 
-TABLES = ("k0m-errors", "optimal-m", "bounds-comparison", "alpha",
-          "asymptotic", "saturation", "radius-scan", "noise-crossover",
-          "boxcox-sweep")
-
 
 def _rel_errors(kappa: float, n: int = 1024, orders=K0M_ORDERS):
     s = generate("geometric", n, kappa)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tracelogdet import bounds, moments, spectra
+from tracelogdet import bounds, measure_solver, moments, spectra
 from tracelogdet.estimators import EstimateReport
 from tracelogdet.moments import NormalizedMoments
 
@@ -89,9 +89,14 @@ class TestKtrace:
             assert resid <= 1e-10
 
     def test_k2_forced_solver_matches_closed_forms(self):
+        # the upper case freezes the two-point weight profile
+        # ((n-1)/n, 1/n) that the closed form assumes
         _, st, nm, r = _setup("geometric", 64, 10, 2)
-        u, _ = bounds.ktrace_bound("upper", nm, 2, force_solver=True)
-        l, _ = bounds.ktrace_bound("lower", nm, 2, r=r, force_solver=True)
+        n = nm.n
+        u, _ = measure_solver.solve("max", nm.M[:2], fixed_weights=np.array(
+            [(n - 1) / n, 1 / n]))
+        l, _ = measure_solver.solve("min", nm.M[:2], r=r)
+        u, l = math.exp(u), math.exp(l)
         assert u == pytest.approx(bounds.rodin_upper(nm.M[1], 64), rel=1e-6)
         assert l == pytest.approx(bounds.lower_k2_closed(nm.M[1], r),
                                   rel=1e-6)
@@ -157,8 +162,8 @@ class TestIntervalAndDiagnostic:
 class TestBoundsReport:
     def test_best_selection(self):
         s, st, nm, r = _setup("geometric", 64, 10, 4)
-        sm = moments.symmetric_means_from_eigenvalues(s.eigenvalues, 4)
-        rep = bounds.bounds_report(nm, ks=(2, 3, 4), r=r, sm=sm)
+        rep = bounds.bounds_report(nm, ks=(2, 3, 4), r=r,
+                                   eigenvalues=s.eigenvalues)
         assert rep.U_best == min(rep.upper.values())
         assert rep.L_best == max(rep.lower.values())
         assert rep.L_best <= st.gm / st.am <= rep.U_best

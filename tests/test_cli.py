@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tracelogdet import io, spectra
+from tracelogdet.bounds import certified_interval
 from tracelogdet.cli import main
 from tracelogdet.report import CertifiedReport, certify
 
@@ -89,7 +90,6 @@ class TestSubcommands:
         r = 0.2
         rep = certify(tp, 4, r=r, ks=(2, 3, 4))
         # certified interval = bounds piped through the interval formula
-        from tracelogdet.bounds import certified_interval
         lo, hi = certified_interval(tp.p[0], 64, rep.bounds.U_best,
                                     rep.bounds.L_best)
         assert rep.interval == (lo, hi)
@@ -156,6 +156,63 @@ class TestSubcommands:
                          "--alpha", "1.3j")
             assert rc == 0
             json.loads(capsys.readouterr().out)
+
+
+class TestBoundsCommand:
+    """``bounds`` lists the bounds that ``certify`` reports for one input."""
+
+    @pytest.fixture
+    def traces(self, tmp_path):
+        path = tmp_path / "t.csv"
+        io.write_traces(spectra.trace_powers(
+            spectra.generate("geometric", 1024, 100), 4), path)
+        return path
+
+    @pytest.mark.parametrize("source", ["traces", "family"])
+    def test_matches_certify(self, source, traces, capsys):
+        # a traces file carries no eigenvalues and a spectrum does; both
+        # must give certify's symmetric-mean bounds, to the last bit
+        src = (["--traces", str(traces)] if source == "traces" else
+               ["--family", "bimodal", "--n", "4096", "--kappa", "31.6"])
+        assert run_cli("bounds", *src, "--floor", "0.01",
+                       "--format", "json") == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert run_cli("certify", *src, "--floor", "0.01") == 0
+        rep = json.loads(capsys.readouterr().out)["bounds"]
+        assert {"maclaurin_4", "last_slope_4"} <= set(rep["upper"])
+        for side in ("upper", "lower"):
+            assert {r["bound"]: r["gm_over_am"] for r in rows
+                    if r["side"] == side and r["bound"] != "best"} \
+                == rep[side]
+        assert {r["side"]: r["gm_over_am"] for r in rows
+                if r["bound"] == "best"} \
+            == {"upper": rep["U_best"], "lower": rep["L_best"]}
+
+    def test_logdet_from_certified_interval(self, traces, capsys):
+        assert run_cli("bounds", "--traces", str(traces),
+                       "--floor", "0.01") == 0
+        rows = json.loads(capsys.readouterr().out)
+        tp = io.read_traces(traces)
+        for r in rows:
+            assert r["logdet"] == certified_interval(
+                tp.p[0], tp.n, r["gm_over_am"])[1]
+
+    def test_warnings_on_stderr(self, tmp_path, capsys):
+        # Newton's identities cancel on traces alone: the symmetric-mean
+        # bounds drop out with a warning, and stdout stays pure JSON
+        path = tmp_path / "t.csv"
+        io.write_traces(spectra.trace_powers(
+            spectra.generate("two_point", 1024, 1e6), 4), path)
+        assert run_cli("bounds", "--traces", str(path)) == 0
+        out, err = capsys.readouterr()
+        assert "maclaurin_4" not in {r["bound"] for r in json.loads(out)}
+        assert err.startswith("warning: symmetric-mean bounds skipped")
+
+    def test_one_trace_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("n,k,p_k\n4,1,10\n")
+        assert run_cli("bounds", "--traces", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,14 @@ class TestNormalize:
     def test_two_point(self):
         nm = moments.normalize(moments.TracePowers(n=4, p=[13, 103]))
         assert nm.M[1] == pytest.approx(4 * 103 / 169, rel=1e-14)
+
+    def test_underflowing_mean_power_is_silent(self):
+        # AM**4 underflows to 0, so M_4 comes from the log-domain fallback
+        tp = moments.TracePowers(n=1000, p=[1e-100, 2e-203, 5e-306, 1e-308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nm = moments.normalize(tp)
+        np.testing.assert_allclose(nm.M, [1, 2, 5, 1e101], rtol=1e-12)
 
     @pytest.mark.parametrize("p", [[6, -1], [6, np.inf], [np.inf, 14],
                                    [6, np.nan]],
