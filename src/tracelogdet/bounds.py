@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .estimators import EstimateReport
 from .measure_solver import AtomicMeasure, solve
 from .moments import (CancellationError, NormalizedMoments, SymmetricMeans,
-                      newton_maclaurin, symmetric_means_from_eigenvalues)
+                      newton_maclaurin)
 
 UPPER_KINDS = ("maclaurin", "rodin", "last_slope", "combined")
 
@@ -184,27 +184,33 @@ def gap_diagnostic(estimate: EstimateReport, lo: float,
 
 
 def bounds_report(nm: NormalizedMoments, ks=(2, 3, 4),
-                  r: float | None = None,
-                  eigenvalues=None) -> BoundsReport:
-    """Assemble every bound available from the given inputs.
+                  r: float | None = None) -> BoundsReport:
+    """Assemble every bound available from the traces.
 
-    The symmetric-mean bounds come from Newton's identities on ``M_1..M_4``;
-    ``eigenvalues``, when known, replace them only if those cancel.  Solver
-    failures and missing prerequisites degrade to warnings; the report
-    carries whatever could be computed.
+    The symmetric-mean bounds come from Newton's identities on
+    ``M_1..M_q``, ``q = min(4, m, n)``, and are skipped when ``q < 2``.
+    Orders in ``ks`` beyond the traces, cancellation, solver failures and
+    missing prerequisites degrade to warnings; the report carries
+    whatever could be computed.
     """
     if nm.m < 2:
         raise ValueError("bounds need at least the traces p_1 and p_2")
     rep = BoundsReport(floor_r=r)
-    m_top = min(4, nm.m)
+    m_top = min(4, nm.m, nm.n)
     sm = None
-    try:
-        sm = newton_maclaurin(nm.n * nm.M[:m_top], nm.n)
-    except CancellationError as exc:
-        if eigenvalues is not None:
-            sm = symmetric_means_from_eigenvalues(eigenvalues, m_top)
-        else:
+    if m_top >= 2:
+        try:
+            sm = newton_maclaurin(nm.n * nm.M[:m_top], nm.n)
+        except CancellationError as exc:
             rep.warnings.append(f"symmetric-mean bounds skipped: {exc}")
+    skipped = [k for k in ks if k > nm.m]
+    if skipped:
+        names = ", ".join(f"ktrace_{k}" for k in skipped)
+        if skipped == list(range(skipped[0], skipped[-1] + 1)):
+            names = f"ktrace_{skipped[0]}" + (
+                f"..ktrace_{skipped[-1]}" if len(skipped) > 1 else "")
+        rep.warnings.append(
+            f"{names} skipped: the input has traces p_1..p_{nm.m}")
     M2 = nm.M[1]
     rep.upper["rodin"] = rodin_upper(M2, nm.n)
     if sm is not None:

@@ -26,23 +26,26 @@ from .spectra import FAMILIES, exact_stats, generate, trace_powers
 
 _NUMERICAL_ERRORS = (InfeasibleError, CancellationError, OverflowError)
 
+# closed-form radius family of each generated family, and its default
+# outlier weight p from n: two_point has one outlier in n, bimodal n/2;
 # geometric spectra discretize the log-uniform density, uniform the uniform
-_RADIUS_FAMILY = {"two_point": "two_point", "geometric": "log_uniform",
-                  "uniform": "uniform"}
+_RADIUS_FAMILY = {"two_point": ("two_point", lambda n: 1.0 / n),
+                  "bimodal": ("two_point", lambda n: 0.5),
+                  "geometric": ("log_uniform", lambda n: None),
+                  "uniform": ("uniform", lambda n: None)}
 # generated families; "custom" spectra come from --spectrum files
 _GEN_FAMILIES = tuple(f for f in FAMILIES if f != "custom")
 
 
-def _spectrum_args(p, need_m=True):
+def _spectrum_args(p):
     p.add_argument("--traces", help="traces CSV (header n,k,p_k)")
     p.add_argument("--spectrum", help="spectrum JSON file")
     p.add_argument("--family", choices=_GEN_FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--kappa", type=float)
     p.add_argument("--seed", type=int)
-    if need_m:
-        p.add_argument("--m", type=int, default=4,
-                       help="number of traces / interpolation order")
+    p.add_argument("--m", type=int, default=4,
+                   help="number of traces / interpolation order")
 
 
 def _resolve_input(args, m):
@@ -116,10 +119,9 @@ def _cmd_estimate(args):
 
 
 def _cmd_bounds(args):
-    tp, s, _ = _resolve_input(args, max(args.m, args.k))
+    tp, _, _ = _resolve_input(args, max(args.m, args.k))
     rep = bounds.bounds_report(
-        normalize(tp), ks=tuple(range(2, args.k + 1)), r=args.floor,
-        eigenvalues=None if s is None else s.eigenvalues)
+        normalize(tp), ks=tuple(range(2, args.k + 1)), r=args.floor)
     for text in rep.warnings:
         print(f"warning: {text}", file=sys.stderr)
     rows = [[name, side, val] for side, vals in (("upper", rep.upper),
@@ -136,9 +138,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_certify(args):
-    tp, s, desc = _resolve_input(args, max(args.m, args.k))
-    ks = tuple(k for k in range(2, args.k + 1))
-    rep = certify(tp, args.m, r=args.floor, ks=ks, spectrum=s,
+    tp, _, desc = _resolve_input(args, max(args.m, args.k))
+    rep = certify(tp, args.m, r=args.floor, ks=tuple(range(2, args.k + 1)),
                   input_desc=desc)
     _write_json(args.out, rep.to_json())
     return 0
@@ -151,10 +152,10 @@ def _cmd_diagnose(args):
     header = ["quantity", "value", "note"]
     rows = [["cv_pct", cv,
              "transform-spread; > 20 means the estimate is unreliable"]]
-    fam = desc.get("family")
-    radius_family = _RADIUS_FAMILY.get(fam)
-    if radius_family is not None:
-        rr = analysis.taylor_radius(radius_family, desc["kappa"], args.p)
+    if desc.get("family") in _RADIUS_FAMILY:
+        radius_family, default_p = _RADIUS_FAMILY[desc["family"]]
+        p = default_p(desc["n"]) if args.p is None else args.p
+        rr = analysis.taylor_radius(radius_family, desc["kappa"], p)
         rows.append(["taylor_radius", rr.radius, f"family={radius_family}"])
         rows.append(["safe_order", rr.safe_order,
                      "orders beyond the radius diverge"])

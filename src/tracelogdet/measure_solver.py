@@ -158,7 +158,8 @@ def _extremal(sense: str, Mfull: np.ndarray, lo: float, cap: float):
         else:  # Gauss, also when round-off at a floor drives a Lobatto bN <= 0
             x, w = _jacobi_rule(a, b[1:])
     fixed = [int(np.argmin(np.abs(c * x - z))) for z in pins]
-    free = ~np.isin(np.arange(x.size), fixed)
+    free = np.ones(x.size, dtype=bool)
+    free[fixed] = False
     x[fixed] = np.array(pins) / c
     x, w = _polish(x, w, free, mom)
     x = c * x

@@ -22,11 +22,7 @@ _CANCEL_TOL = 1e-6
 
 
 class CancellationError(ArithmeticError):
-    """Newton's identities lost too many digits to alternating cancellation.
-
-    Callers holding explicit eigenvalues should fall back to
-    ``symmetric_means_from_eigenvalues``, which is cancellation-free.
-    """
+    """Newton's identities lost too many digits to alternating cancellation."""
 
 
 @dataclass(frozen=True)
@@ -175,8 +171,8 @@ def esp_from_values(values, m: int) -> np.ndarray:
     """Elementary symmetric polynomials ``e_1..e_m`` of positive values.
 
     All-positive accumulation, so unlike the Newton-identity route there
-    is no cancellation; used as the exact-eigenvalue fallback and as a
-    test oracle.
+    is no cancellation; the oracle for the tests and for the
+    ``bounds-comparison`` table.
     """
     values = np.asarray(values, dtype=float)
     e = np.zeros(m + 1)

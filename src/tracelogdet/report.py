@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from . import bounds as bounds_mod
 from .estimators import EstimateReport, k0m_estimate
 from .moments import TracePowers, cumulants, normalize
-from .spectra import Spectrum
 
 
 @dataclass
@@ -86,22 +85,14 @@ class CertifiedReport:
 
 
 def certify(tp: TracePowers, m: int, r: float | None = None,
-            ks=(2, 3, 4), spectrum: Spectrum | None = None,
-            input_desc: dict | None = None) -> CertifiedReport:
-    """Full pipeline: traces -> estimate -> bounds -> certified interval.
-
-    ``spectrum`` (when the eigenvalues are known, e.g. generated
-    benchmarks) only serves as the cancellation-free fallback for the
-    symmetric-mean bounds; estimates and bounds always run from traces.
-    """
+            ks=(2, 3, 4), input_desc: dict | None = None) -> CertifiedReport:
+    """Full pipeline: traces -> estimate -> bounds -> certified interval."""
     if m < 2 or m > tp.m:
         raise ValueError(f"m must lie in [2, {tp.m}]")
     nm = normalize(tp)
     am = tp.p[0] / tp.n
     est = k0m_estimate(cumulants(nm), m, n=tp.n, am=am)
-    rep = bounds_mod.bounds_report(
-        nm, ks=ks, r=r,
-        eigenvalues=None if spectrum is None else spectrum.eigenvalues)
+    rep = bounds_mod.bounds_report(nm, ks=ks, r=r)
     interval = bounds_mod.certified_interval(tp.p[0], tp.n, rep.U_best,
                                              rep.L_best)
     diag = bounds_mod.gap_diagnostic(est, *interval)

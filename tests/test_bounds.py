@@ -162,8 +162,7 @@ class TestIntervalAndDiagnostic:
 class TestBoundsReport:
     def test_best_selection(self):
         s, st, nm, r = _setup("geometric", 64, 10, 4)
-        rep = bounds.bounds_report(nm, ks=(2, 3, 4), r=r,
-                                   eigenvalues=s.eigenvalues)
+        rep = bounds.bounds_report(nm, ks=(2, 3, 4), r=r)
         assert rep.U_best == min(rep.upper.values())
         assert rep.L_best == max(rep.lower.values())
         assert rep.L_best <= st.gm / st.am <= rep.U_best
@@ -176,3 +175,21 @@ class TestBoundsReport:
         rep = bounds.bounds_report(nm, ks=(2, 3), r=None)
         assert rep.lower == {}
         assert rep.L_best is None
+
+    @pytest.mark.parametrize("ks, names", [
+        ((2, 3, 4), None),
+        ((2, 3, 5), "ktrace_5"),
+        ((2, 5, 6, 7), "ktrace_5..ktrace_7"),
+        ((2, 6, 8), "ktrace_6, ktrace_8"),
+    ])
+    def test_orders_beyond_traces_warned(self, ks, names):
+        _, _, nm, _ = _setup("geometric", 64, 10, 4)
+        want = [] if names is None else [
+            f"{names} skipped: the input has traces p_1..p_4"]
+        assert bounds.bounds_report(nm, ks=ks).warnings == want
+
+    def test_one_eigenvalue_has_no_symmetric_means(self):
+        # the order is capped at n; order 1 gives no symmetric-mean bound
+        rep = bounds.bounds_report(NormalizedMoments(n=1, M=[1.0] * 4))
+        assert set(rep.upper) == {"rodin", "ktrace_3", "ktrace_4"}
+        assert rep.U_best == pytest.approx(1.0) and rep.warnings == []

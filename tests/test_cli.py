@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tracelogdet import io, spectra
+from tracelogdet import analysis, io, spectra
 from tracelogdet.bounds import certified_interval
 from tracelogdet.cli import main
 from tracelogdet.report import CertifiedReport, certify
@@ -108,14 +108,14 @@ class TestSubcommands:
         st = spectra.exact_stats(s)
         tp = spectra.trace_powers(s, 4)
         r = float(s.eigenvalues[0]) / st.am
-        rep = certify(tp, 4, r=r, ks=(2, 3, 4), spectrum=s)
+        rep = certify(tp, 4, r=r, ks=(2, 3, 4))
         assert rep.verdict == "clipped_to_lower"
         assert rep.estimate.logdet_hat < rep.interval[0]
         assert rep.clipped_logdet == pytest.approx(st.logdet, abs=1e-4)
 
     def test_certify_warns_on_cancellation(self):
-        # traces only (no eigenvalue fallback): the symmetric-mean bounds
-        # drop out with a warning instead of poisoning the report
+        # the symmetric-mean bounds drop out with a warning instead of
+        # poisoning the report
         s = spectra.generate("two_point", 1024, 1e6)
         tp = spectra.trace_powers(s, 4)
         rep = certify(tp, 4, ks=(2, 3, 4))
@@ -138,6 +138,20 @@ class TestSubcommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "cv_pct" in out and "taylor_radius" in out
+
+    @pytest.mark.parametrize("family, extra, p", [
+        ("two_point", [], 1 / 1024),  # one outlier in n
+        ("bimodal", [], 0.5),
+        ("two_point", ["--p", "0.5"], 0.5),
+    ])
+    def test_diagnose_radius(self, family, extra, p, capsys):
+        assert run_cli("diagnose", "--family", family, "--n", "1024",
+                       "--kappa", "100", "--format", "json", *extra) == 0
+        rows = {r["quantity"]: r["value"]
+                for r in json.loads(capsys.readouterr().out)}
+        rr = analysis.taylor_radius("two_point", 100.0, p)
+        assert rows["taylor_radius"] == rr.radius
+        assert rows["safe_order"] == rr.safe_order
 
     def test_noise_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -170,8 +184,8 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("source", ["traces", "family"])
     def test_matches_certify(self, source, traces, capsys):
-        # a traces file carries no eigenvalues and a spectrum does; both
-        # must give certify's symmetric-mean bounds, to the last bit
+        # from a traces file and from a family, bounds lists certify's
+        # bounds to the last bit
         src = (["--traces", str(traces)] if source == "traces" else
                ["--family", "bimodal", "--n", "4096", "--kappa", "31.6"])
         assert run_cli("bounds", *src, "--floor", "0.01",
@@ -207,6 +221,55 @@ class TestBoundsCommand:
         out, err = capsys.readouterr()
         assert "maclaurin_4" not in {r["bound"] for r in json.loads(out)}
         assert err.startswith("warning: symmetric-mean bounds skipped")
+
+    def test_orders_beyond_traces_warned(self, traces, capsys):
+        want = "ktrace_5..ktrace_8 skipped: the input has traces p_1..p_4"
+        assert run_cli("bounds", "--traces", str(traces), "--k", "8") == 0
+        assert capsys.readouterr().err == f"warning: {want}\n"
+        assert run_cli("certify", "--traces", str(traces), "--k", "8") == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [want]
+        assert run_cli("bounds", "--traces", str(traces)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_spectrum(self, n, capsys):
+        src = ["--family", "geometric", "--n", str(n), "--kappa", "10",
+               "--floor", "0.1"]
+        st = spectra.exact_stats(spectra.generate("geometric", n, 10))
+        assert run_cli("bounds", *src) == 0
+        rows = json.loads(capsys.readouterr().out)
+        # Maclaurin's bound is exact at order n
+        assert {r["bound"]: r["gm_over_am"] for r in rows
+                if r["side"] == "upper"}[f"maclaurin_{n}"] \
+            == pytest.approx(st.gm / st.am, rel=1e-12)
+        assert run_cli("certify", *src) == 0
+        lo, hi = json.loads(capsys.readouterr().out)["interval"]
+        # the upper end is sharp, so it holds only up to round-off
+        assert lo <= st.logdet <= hi + 1e-12
+
+    @pytest.mark.parametrize("family, kappa, floor", [
+        *((f, "100", "0.01") for f in spectra.FAMILIES if f != "custom"),
+        # Newton's identities cancel; lambda_min/AM is 0.00102
+        ("two_point", "1e6", "0.001"),
+    ])
+    def test_family_reports_as_its_traces(self, family, kappa, floor,
+                                          tmp_path, capsys):
+        # bounds come from the traces alone: a generated spectrum and a
+        # traces file of it print the same, apart from the input field
+        spec = ["--family", family, "--n", "1024", "--kappa", kappa,
+                "--seed", "5"]
+        path = tmp_path / "t.csv"
+        assert run_cli("traces", *spec, "--out", str(path)) == 0
+        for command in ("certify", "bounds"):
+            outs = []
+            for src in (spec, ["--traces", str(path)]):
+                assert run_cli(command, *src, "--floor", floor) == 0
+                out, err = capsys.readouterr()
+                out = json.loads(out)
+                if command == "certify":
+                    out.pop("input")
+                outs.append((out, err))
+            assert outs[0] == outs[1]
 
     def test_one_trace_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
