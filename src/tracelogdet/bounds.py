@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 from .estimators import EstimateReport
-from .measure_solver import AtomicMeasure, solve
+from .measure_solver import POINT_MASS_TOL, AtomicMeasure, solve
 from .moments import (CancellationError, NormalizedMoments, SymmetricMeans,
                       newton_maclaurin)
 
 UPPER_KINDS = ("maclaurin", "rodin", "last_slope", "combined")
+_EPS = math.ulp(1.0)
 
 
 @dataclass
@@ -53,9 +54,9 @@ def _geometric_mean(x, w) -> float:
 
 def _rodin_atoms(M2: float, n: int):
     """Atoms and weights of the two-point spectrum attaining Rodin's bound."""
-    if M2 < 1.0:
+    if M2 < 1.0 - POINT_MASS_TOL:
         raise ValueError("M_2 < 1 violates Jensen")
-    if n < 2:
+    if n < 2 or M2 <= 1.0 + POINT_MASS_TOL:
         return [1.0], [1.0]
     d = math.sqrt((M2 - 1.0) / (n - 1))
     if d >= 1.0:
@@ -103,9 +104,9 @@ def closed_form_upper(kind: str, sm: SymmetricMeans | None = None,
 
 def _k2_lower_atoms(M2: float, r: float):
     """Atoms and weights of the two-point measure pinned at the floor r."""
-    if M2 < 1.0:
+    if M2 < 1.0 - POINT_MASS_TOL:
         raise ValueError("M_2 < 1 violates Jensen")
-    if M2 == 1.0:
+    if M2 <= 1.0 + POINT_MASS_TOL:
         return [1.0], [1.0]
     if not 0.0 < r < 1.0:
         raise ValueError("floor must satisfy 0 < r < 1 when M_2 > 1")
@@ -148,14 +149,42 @@ def ktrace_bound(sense: str, nm: NormalizedMoments, k: int,
 
 def certified_interval(p1: float, n: int, U: float,
                        L: float | None = None) -> tuple[float, float]:
-    """Certified enclosure of log det from GM/AM bounds: n(log AM + log bound)."""
+    """Certified enclosure of log det from GM/AM bounds: n(log AM + log bound).
+
+    Each end is widened outward by a bound on its own round-off, so that a
+    sharp bound still encloses the truth.  With ``u = eps/2``, ``n < 2**53``
+    and ``math.log`` within one ulp, to first order in eps:
+
+    - ``fl(p1/n) = AM (1 + d)`` with ``|d| <= u``, so ``fl(log fl(p1/n))``
+      lies within ``u + eps |log AM|`` of ``log AM``, and ``fl(log B)``
+      within ``eps |log B|`` of ``log B``;
+    - each product with n adds ``u`` relative error, and the final sum
+      adds ``u |end|``.
+
+    So the computed end is off by at most
+    ``n eps (1/2 + 3/2 |log AM| + 3/2 |log B|) + u |end|``.  The pad
+    ``n eps (2 + 2 |log AM| + 2 |log B|) + eps |end|`` covers that, the
+    second-order terms, the rounding of the padded end itself, and one eps
+    of relative error in B itself, about what a closed form evaluated from
+    the rounded moments carries.  A solver bound near the boundary of the
+    moment space can be off by more than that.
+    """
     if p1 <= 0 or n < 1:
         raise ValueError("need p1 > 0 and n >= 1")
     if L is not None and not 0 < L <= U * (1 + 1e-9):
         raise ValueError("need 0 < L <= U")
-    base = n * math.log(p1 / n)
-    hi = base + n * math.log(U)
-    lo = base + n * math.log(L) if L is not None else -math.inf
+    log_am = math.log(p1 / n)
+    base = n * log_am
+
+    def end(bound: float, outward: float) -> float:
+        log_b = math.log(bound)
+        value = base + n * log_b
+        pad = (n * _EPS * (2 + 2 * abs(log_am) + 2 * abs(log_b))
+               + _EPS * abs(value))
+        return value + outward * pad
+
+    hi = end(U, 1.0)
+    lo = end(L, -1.0) if L is not None else -math.inf
     # sharp instances have L = U up to rounding; collapse the noise
     return min(lo, hi), hi
 

@@ -13,10 +13,17 @@ are principal representations: canonical quadrature rules of the moments.
     odd    Gauss, (k+1)/2 nodes         Lobatto, nodes pinned at r and cap
     even   Radau, node pinned at cap    Radau, node pinned at r
 
-The rules come from the three-term recurrence of the moments, followed by
-a few Newton steps on the square moment system.  When the recurrence
-breaks down the moments lie on the boundary of the moment space: a
-single measure represents them, and it serves both senses.
+The rules come from the three-term recurrence of the moments and the
+Golub-Welsch eigen-solve of its Jacobi matrix.  A rule whose moment
+residual lies above round-off, as near the boundary of the moment space,
+gets a few Newton steps on the moment system.  When the recurrence breaks
+down the moments lie on the boundary of the moment space: a single measure
+represents them, and it serves both senses.
+
+The moments have a handful of entries, and numpy's per-call dispatch
+would cost more than their arithmetic, so the recurrence, the pins and the
+checks run on Python floats.  numpy serves only the eigen-solve and the
+Newton step.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ _BIG_CAP = 1e3  # atom cap multiplier on M_k**(1/k)
 _TOL_FEAS = 1e-8  # max moment residual, each scaled by max(1, M_j)
 _ATOM_FLOOR = 1e-12  # support floor of the max sense
 _SUPPORT_RTOL = 1e-9  # round-off allowed at the ends of [lo, cap]
+# M_2 within this of 1 is the point mass at 1: round-off in the traces of
+# c * I lands M_2 a few ulps on either side of 1
+POINT_MASS_TOL = 1e-12
 
 
 class InfeasibleError(RuntimeError):
@@ -44,25 +54,34 @@ class AtomicMeasure:
     w: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        order = np.argsort(x)
-        object.__setattr__(self, "x", x[order])
-        object.__setattr__(self, "w", w[order])
-        if np.any(self.x <= 0) or np.any(self.w < 0):
+        x = np.asarray(self.x, dtype=float).tolist()
+        w = np.asarray(self.w, dtype=float).tolist()
+        order = sorted(range(len(x)), key=x.__getitem__)
+        x, w = [x[i] for i in order], [w[i] for i in order]
+        if any(xi <= 0 for xi in x) or any(wi < 0 for wi in w):
             raise ValueError("atoms must be positive with nonnegative weights")
-        if abs(math.fsum(self.w) - 1.0) > 1e-9:
+        if abs(math.fsum(w) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
+        object.__setattr__(self, "x", np.array(x))
+        object.__setattr__(self, "w", np.array(w))
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
         return list(zip(self.x.tolist(), self.w.tolist()))
 
     def log_mean(self) -> float:
-        return math.fsum(wi * math.log(xi) for xi, wi in zip(self.x, self.w))
+        return math.fsum(wi * math.log(xi)
+                         for xi, wi in zip(self.x.tolist(), self.w.tolist()))
 
     def moment(self, j: int) -> float:
-        return math.fsum(wi * xi ** j for xi, wi in zip(self.x, self.w))
+        return math.fsum([wi * xi ** j
+                          for xi, wi in zip(self.x.tolist(), self.w.tolist())])
+
+
+def _moments(x: list[float], w: list[float], k: int) -> list[float]:
+    """``sum_i w_i x_i**j`` for ``j = 0..k``, each sum rounded once."""
+    return [math.fsum(col) for col in zip(*(
+        [wi * xi ** j for j in range(k + 1)] for xi, wi in zip(x, w)))]
 
 
 def moment_residual(mu: AtomicMeasure, M) -> float:
@@ -71,48 +90,62 @@ def moment_residual(mu: AtomicMeasure, M) -> float:
     return max(abs(mu.moment(j + 1) - M[j]) for j in range(M.size))
 
 
-def _recurrence(mom: np.ndarray):
+def _recurrence(mom: list[float]):
     """Recurrence ``a_0..a_{(L-1)//2}``, ``b_0..b_{L//2}`` of ``m_0..m_L``.
 
     Chebyshev's algorithm.  If ``||p_j||**2`` vanishes first, a j-atom
     measure represents the moments: returns the coefficients below j and j.
     """
-    L = mom.size - 1
+    L = len(mom) - 1
     a, b = [mom[1] / mom[0]], [mom[0]]
-    sig_prev, sig = np.zeros(L + 1), mom.astype(float)
+    sig_prev, sig = [0.0] * (L + 1), list(mom)
     for j in range(1, L // 2 + 1):
-        sig_new = np.zeros(L + 1)
-        i = np.arange(j, L - j + 1)
-        sig_new[i] = sig[i + 1] - a[j - 1] * sig[i] - b[j - 1] * sig_prev[i]
+        aj, bj = a[j - 1], b[j - 1]
+        sig_new = [0.0] * (L + 1)
+        for i in range(j, L - j + 1):
+            sig_new[i] = sig[i + 1] - aj * sig[i] - bj * sig_prev[i]
         if sig_new[j] <= 0 or sig_new[j] < 1e-13 * abs(sig[j - 1]):
-            return np.array(a[:j]), np.array(b[:j]), j
+            return a[:j], b[:j], j
         b.append(sig_new[j] / sig[j - 1])
         if j <= (L - 1) // 2:
             a.append(sig_new[j + 1] / sig_new[j] - sig[j] / sig[j - 1])
         sig_prev, sig = sig, sig_new
-    return np.array(a), np.array(b), None
+    return a, b, None
 
 
-def _jacobi_rule(diag, offdiag_sq):
+def _jacobi_rule(diag: list[float], offdiag_sq: list[float]):
     """Nodes and unit-mass weights of a Jacobi matrix (Golub-Welsch)."""
-    if not np.all(np.isfinite(np.append(diag, offdiag_sq))):
+    if not all(map(math.isfinite, diag + offdiag_sq)):
         raise InfeasibleError("the moments define no quadrature rule")
-    off = np.sqrt(offdiag_sq)
-    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
-                                + np.diag(off, -1))
-    return vals, vecs[0] ** 2
+    n = len(diag)
+    off = [math.sqrt(v) for v in offdiag_sq]
+    T = np.zeros(n * n)
+    T[::n + 1] = diag
+    T[1::n + 1] = off
+    T[n::n + 1] = off
+    vals, vecs = np.linalg.eigh(T.reshape(n, n))
+    return vals.tolist(), (vecs[0] ** 2).tolist()
 
 
-def _ratio(a, b, z: float) -> float:
+def _ratio(a: list[float], b: list[float], z: float) -> float:
     """``p_{n-1}(z) / p_n(z)`` of the monic orthogonal polynomials, n = |a|."""
     pm, p = 0.0, 1.0
-    for i in range(a.size):
+    for i in range(len(a)):
         pm, p = p, (z - a[i]) * p - (b[i] * pm if i > 0 else 0.0)
     return pm / p if p != 0.0 else -math.inf
 
 
 def _polish(x, w, free, mom):
-    """Newton steps on ``sum_i w_i x_i**j = m_j`` while the residual drops."""
+    """Newton steps on ``sum_i w_i x_i**j = m_j`` while the residual drops.
+
+    The residual is checked on floats first: most rules are already at
+    round-off, and those take no step and skip numpy.
+    """
+    if max(abs(got - mj) / mj
+           for got, mj in zip(_moments(x, w, len(mom) - 1), mom)) < 1e-14:
+        return x, w
+    x, w, mom = np.array(x), np.array(w), np.array(mom)
+    free = np.array(free)
     js = np.arange(mom.size)[:, None]
     res = ((x ** js) @ w - mom) / mom
     for _ in range(6):
@@ -129,15 +162,15 @@ def _polish(x, w, free, mom):
         if np.any(w2 < 0) or not np.max(np.abs(res2)) < np.max(np.abs(res)):
             break
         x, w, res = x2, w2, res2
-    return x, w
+    return x.tolist(), w.tolist()
 
 
-def _extremal(sense: str, Mfull: np.ndarray, lo: float, cap: float):
+def _extremal(sense: str, Mfull: list[float], lo: float, cap: float):
     """Nodes and weights of the rule in the module table, before checks."""
-    k = Mfull.size - 1
+    k = len(Mfull) - 1
     # moments of x/c equilibrate the recursion and the Newton system
     c = max(Mfull[-1] ** (1.0 / k), 1e-8)
-    mom = Mfull / c ** np.arange(k + 1)
+    mom = [Mj / c ** j for j, Mj in enumerate(Mfull)]
     a, b, exhausted = _recurrence(mom)
     pins = []  # locations of the pinned nodes
     if exhausted is not None:  # boundary sequence: its unique measure
@@ -145,7 +178,7 @@ def _extremal(sense: str, Mfull: np.ndarray, lo: float, cap: float):
     elif k % 2 == 0:  # Radau: p_{n+1} vanishes at the pinned end
         pins = [cap if sense == "max" else lo]
         z = pins[0] / c
-        x, w = _jacobi_rule(np.append(a, z - b[-1] * _ratio(a, b, z)), b[1:])
+        x, w = _jacobi_rule(a + [z - b[-1] * _ratio(a, b, z)], b[1:])
     else:
         bN = 0.0
         if sense == "min":  # Lobatto: p_{N+1} vanishes at both ends
@@ -153,28 +186,30 @@ def _extremal(sense: str, Mfull: np.ndarray, lo: float, cap: float):
             bN = (cap - lo) / c / (_ratio(a, b, cap / c) - r_lo)
         if bN > 0:
             pins = [lo, cap]
-            x, w = _jacobi_rule(np.append(a, lo / c - bN * r_lo),
-                                np.append(b[1:], bN))
+            x, w = _jacobi_rule(a + [lo / c - bN * r_lo], b[1:] + [bN])
         else:  # Gauss, also when round-off at a floor drives a Lobatto bN <= 0
             x, w = _jacobi_rule(a, b[1:])
-    fixed = [int(np.argmin(np.abs(c * x - z))) for z in pins]
-    free = np.ones(x.size, dtype=bool)
-    free[fixed] = False
-    x[fixed] = np.array(pins) / c
+    fixed = [min(range(len(x)), key=lambda i: abs(c * x[i] - z))
+             for z in pins]
+    free = [True] * len(x)
+    for i, z in zip(fixed, pins):
+        free[i] = False
+        x[i] = z / c
     x, w = _polish(x, w, free, mom)
-    x = c * x
-    x[fixed] = pins
+    x = [c * xi for xi in x]
+    for i, z in zip(fixed, pins):
+        x[i] = z
     return x, w
 
 
-def _fixed_two_point(M: np.ndarray, w):
+def _fixed_two_point(M: list[float], w):
     """Atoms ``1 - s sqrt(w_2/w_1)``, ``1 + s sqrt(w_1/w_2)``, s**2 = M_2-1."""
     w = np.asarray(w, dtype=float)
-    if M.size != 2 or w.shape != (2,) or not np.all(w > 0):
+    if len(M) != 2 or w.shape != (2,) or not np.all(w > 0):
         raise ValueError("fixed_weights takes two positive weights and k = 2")
+    w1, w2 = w.tolist()
     s = math.sqrt(M[1] - 1.0)
-    return np.array([1 - s * math.sqrt(w[1] / w[0]),
-                     1 + s * math.sqrt(w[0] / w[1])]), w
+    return [1 - s * math.sqrt(w2 / w1), 1 + s * math.sqrt(w1 / w2)], [w1, w2]
 
 
 def solve(sense: str, M, r: float | None = None, *,
@@ -190,32 +225,36 @@ def solve(sense: str, M, r: float | None = None, *,
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    M = np.asarray(M, dtype=float)
-    k = M.size
+    M = np.asarray(M, dtype=float).tolist()
+    k = len(M)
     if k < 1 or abs(M[0] - 1.0) > 1e-12:
         raise ValueError("need normalized moments with M_1 = 1")
     if sense == "min" and (r is None or r <= 0):
         raise ValueError("min sense requires a floor r > 0")
-    if sense == "min" and r >= 1.0 and (k < 2 or M[1] > 1.0):
+    if (sense == "min" and r >= 1.0
+            and (k < 2 or M[1] > 1.0 + POINT_MASS_TOL)):
         raise InfeasibleError("floor r >= 1 is incompatible with M_1 = 1")
-    if k >= 2 and M[1] < 1.0 - 1e-12:
+    if k >= 2 and M[1] < 1.0 - POINT_MASS_TOL:
         raise InfeasibleError("M_2 < 1 violates Jensen")
     # M_2 = 1 forces X = 1 a.s.; with k = 1 the point mass is the maximum
-    if (k >= 2 and M[1] <= 1.0 + 1e-12) or (k == 1 and sense == "max"):
-        return 0.0, AtomicMeasure(np.array([1.0]), np.array([1.0]))
-    Mfull = np.concatenate([[1.0], M])
+    if ((k >= 2 and M[1] <= 1.0 + POINT_MASS_TOL)
+            or (k == 1 and sense == "max")):
+        return 0.0, AtomicMeasure([1.0], [1.0])
+    Mfull = [1.0] + M
     cap = _BIG_CAP * max(M[-1] ** (1.0 / k), 1.0)
     lo = r if sense == "min" else _ATOM_FLOOR
     x, w = (_extremal(sense, Mfull, lo, cap) if fixed_weights is None
             else _fixed_two_point(M, fixed_weights))
-    if not (x.min() >= lo * (1 - _SUPPORT_RTOL)
-            and x.max() <= cap * (1 + _SUPPORT_RTOL)):
+    if not all(lo * (1 - _SUPPORT_RTOL) <= xi <= cap * (1 + _SUPPORT_RTOL)
+               for xi in x):
         raise InfeasibleError(
-            f"extremal measure has atoms in [{x.min():.6g}, {x.max():.6g}], "
+            f"extremal measure has atoms in [{min(x):.6g}, {max(x):.6g}], "
             f"outside the support [{lo:.6g}, {cap:.6g}]")
-    mu = AtomicMeasure(x, w / math.fsum(w))
-    resid = max(abs(mu.moment(j) - Mfull[j]) / max(1.0, Mfull[j])
-                for j in range(1, k + 1))
+    total = math.fsum(w)
+    w = [wi / total for wi in w]
+    mu = AtomicMeasure(x, w)
+    resid = max(abs(got - Mj) / max(1.0, Mj)
+                for got, Mj in zip(_moments(x, w, k)[1:], M))
     if not resid <= _TOL_FEAS:
         raise InfeasibleError(f"extremal measure misses the moments by "
                               f"{resid:.1e} (tolerance {_TOL_FEAS:.0e})")

@@ -244,8 +244,8 @@ class TestBoundsCommand:
             == pytest.approx(st.gm / st.am, rel=1e-12)
         assert run_cli("certify", *src) == 0
         lo, hi = json.loads(capsys.readouterr().out)["interval"]
-        # the upper end is sharp, so it holds only up to round-off
-        assert lo <= st.logdet <= hi + 1e-12
+        # the upper end is sharp; outward rounding keeps the truth inside
+        assert lo <= st.logdet <= hi
 
     @pytest.mark.parametrize("family, kappa, floor", [
         *((f, "100", "0.01") for f in spectra.FAMILIES if f != "custom"),

@@ -82,6 +82,17 @@ class TestCumulants:
 
 
 class TestNewtonMaclaurin:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 100, 12345, 10 ** 6,
+                                   10 ** 9, 10 ** 10, 999_999_999_989,
+                                   10 ** 12])
+    def test_log_binomial_oracle(self, n):
+        # exact big-integer binomials; lgamma differences lost
+        # eps * n * log n here
+        for k in range(min(n, 8) + 1):
+            want = math.log(math.comb(n, k))
+            assert moments.log_binomial(n, k) == pytest.approx(
+                want, rel=1e-14, abs=1e-14)
+
     def test_small_exact(self):
         # power sums of {1, 2, 3}: elementary symmetric (6, 11, 6)
         sm = moments.newton_maclaurin([6, 14, 36], 3)
