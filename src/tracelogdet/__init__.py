@@ -10,8 +10,9 @@ spectra on which trace-based estimation must fail.
 from .analysis import (NonidentPair, RadiusReport, SaturationScan,
                        nonidentifiable_pair, saturation_scan, taylor_radius)
 from .bounds import (BoundsReport, GapDiagnostic, bounds_report,
-                     certified_interval, closed_form_upper, gap_diagnostic,
-                     ktrace_bound, lower_k2_closed, rodin_upper)
+                     certified_interval, gap_diagnostic, ktrace_bound,
+                     last_slope_upper, lower_k2_closed, maclaurin_upper,
+                     rodin_upper)
 from .estimators import (EstimateReport, WeightVector, cv_diagnostic,
                          k0m_estimate, lagrange_weights, latane_estimate,
                          lognormal_closed_form, transform_estimate)

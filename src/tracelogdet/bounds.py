@@ -4,7 +4,14 @@ Upper bounds need only the trace moments.  Lower bounds additionally need
 a spectral floor ``r <= lambda_min/AM``; without one, no lower bound is
 reported rather than inventing a floor.  All bound values live on the
 mean-normalized scale, so 1 is the degenerate equality case and the true
-GM/AM always lies in ``(0, 1]``.
+GM/AM always lies in ``(0, 1]``.  One function per bound:
+
+- ``rodin_upper``: the two-point mean-variance bound, from ``M_2`` and n;
+- ``maclaurin_upper`` and ``last_slope_upper``: from the symmetric means;
+- ``lower_k2_closed``: the two-moment bound pinned at the floor;
+- ``ktrace_bound``: the Markov-Krein bound from traces ``1..k``, per sense.
+
+``bounds_report`` computes them all and picks the best per side.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from .measure_solver import POINT_MASS_TOL, AtomicMeasure, solve
 from .moments import (CancellationError, NormalizedMoments, SymmetricMeans,
                       newton_maclaurin)
 
-UPPER_KINDS = ("maclaurin", "rodin", "last_slope", "combined")
 _EPS = math.ulp(1.0)
 
 
@@ -69,37 +75,31 @@ def rodin_upper(M2: float, n: int) -> float:
     return _geometric_mean(*_rodin_atoms(M2, n))
 
 
-def closed_form_upper(kind: str, sm: SymmetricMeans | None = None,
-                      M2: float | None = None, n: int | None = None,
-                      m: int | None = None) -> float:
-    """Closed-form upper bounds on GM/AM.
-
-    maclaurin:   E_m**(1/m)
-    rodin:       two-point mean-variance bound (needs M2 and n)
-    last_slope:  extrapolates the log-concave decay of the E_k sequence,
-                 [E_m (E_m/E_{m-1})**(n-m)]**(1/n)
-    combined:    min of the three at m = 4
-    """
-    if kind not in UPPER_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    if kind == "rodin":
-        if M2 is None or n is None:
-            raise ValueError("rodin needs M2 and n")
-        return rodin_upper(M2, n)
-    if kind == "combined":
-        return min(closed_form_upper("rodin", M2=M2, n=n),
-                   closed_form_upper("maclaurin", sm=sm, m=4),
-                   closed_form_upper("last_slope", sm=sm, m=4))
-    if sm is None or m is None:
-        raise ValueError(f"{kind} needs symmetric means and m")
-    if m < 1 or m > sm.logE.size:
+def _log_E(sm: SymmetricMeans, k: int, outward: float) -> float:
+    """``logE_k`` moved outward by its round-off pad, when ``sm`` has one."""
+    if k < 1 or k > sm.logE.size:
         raise ValueError("m out of range for the available symmetric means")
-    if kind == "maclaurin":
-        return math.exp(sm.logE[m - 1] / m)
-    # last slope, in log space to avoid overflow for large n
+    return sm.logE[k - 1] + (outward * sm.delta[k - 1] if sm.delta.size
+                             else 0.0)
+
+
+def maclaurin_upper(sm: SymmetricMeans, m: int) -> float:
+    """Maclaurin's inequality: GM/AM <= E_m**(1/m)."""
+    return math.exp(_log_E(sm, m, 1.0) / m)
+
+
+def last_slope_upper(sm: SymmetricMeans, m: int) -> float:
+    """Extrapolates the log-concave decay of the E_k sequence past order m.
+
+    ``[E_m (E_m/E_{m-1})**(n-m)]**(1/n)``, in log space to avoid overflow
+    for large n.  The bound grows with ``E_m`` and falls with ``E_{m-1}``,
+    so the pads move them up and down.
+    """
+    hi = _log_E(sm, m, 1.0)
     if m < 2:
         raise ValueError("last_slope needs m >= 2")
-    return math.exp((sm.logE[m - 1] + (sm.n - m) * sm.slopes[m - 1]) / sm.n)
+    return math.exp((hi + (sm.n - m) * (hi - _log_E(sm, m - 1, -1.0)))
+                    / sm.n)
 
 
 def _k2_lower_atoms(M2: float, r: float):
@@ -126,7 +126,7 @@ def ktrace_bound(sense: str, nm: NormalizedMoments, k: int,
 
     k = 2 dispatches to the closed forms (upper: finite-n two-point bound,
     lower: the pinned-floor two-atom formula), whose value is the geometric
-    mean of the returned witness; k >= 3 solves the ``(k+1)``-atom program.
+    mean of the returned witness; other k solve the ``(k+1)``-atom program.
     """
     if sense not in ("upper", "lower"):
         raise ValueError("sense must be 'upper' or 'lower'")
@@ -139,9 +139,6 @@ def ktrace_bound(sense: str, nm: NormalizedMoments, k: int,
         x, w = (_rodin_atoms(nm.M[1], nm.n) if sense == "upper"
                 else _k2_lower_atoms(nm.M[1], r))
         return _geometric_mean(x, w), AtomicMeasure(x, w)
-
-    if k == 1 and sense == "upper":
-        return 1.0, AtomicMeasure([1.0], [1.0])
 
     obj, mu = solve("max" if sense == "upper" else "min", nm.M[:k], r=r)
     return math.exp(obj), mu
@@ -243,24 +240,19 @@ def bounds_report(nm: NormalizedMoments, ks=(2, 3, 4),
     M2 = nm.M[1]
     rep.upper["rodin"] = rodin_upper(M2, nm.n)
     if sm is not None:
-        rep.upper[f"maclaurin_{m_top}"] = closed_form_upper(
-            "maclaurin", sm=sm, m=m_top)
-        rep.upper[f"last_slope_{m_top}"] = closed_form_upper(
-            "last_slope", sm=sm, m=m_top)
+        rep.upper[f"maclaurin_{m_top}"] = maclaurin_upper(sm, m_top)
+        rep.upper[f"last_slope_{m_top}"] = last_slope_upper(sm, m_top)
     solver_ks = [k for k in ks if 3 <= k <= nm.m]
-    for k in solver_ks:
-        try:
-            val, _ = ktrace_bound("upper", nm, k)
-            rep.upper[f"ktrace_{k}"] = val
-        except RuntimeError as exc:
-            rep.warnings.append(f"upper ktrace_{k}: {exc}")
+    sides = [("upper", rep.upper, None)]
     if r is not None:
-        rep.lower["k2_closed"] = lower_k2_closed(M2, r)
+        sides.append(("lower", rep.lower, r))
+    for sense, side, floor in sides:
+        if floor is not None:
+            side["k2_closed"] = lower_k2_closed(M2, floor)
         for k in solver_ks:
             try:
-                val, _ = ktrace_bound("lower", nm, k, r=r)
-                rep.lower[f"ktrace_{k}"] = val
+                side[f"ktrace_{k}"] = ktrace_bound(sense, nm, k, r=floor)[0]
             except RuntimeError as exc:
-                rep.warnings.append(f"lower ktrace_{k}: {exc}")
+                rep.warnings.append(f"{sense} ktrace_{k}: {exc}")
     rep.finalize_best()
     return rep

@@ -22,7 +22,7 @@ from .measure_solver import InfeasibleError
 from .moments import (CancellationError, boxcox_samples, central_moments,
                       cumulants, normalize)
 from .report import certify
-from .spectra import FAMILIES, exact_stats, generate, trace_powers
+from .spectra import GENERATED_FAMILIES, exact_stats, generate, trace_powers
 
 _NUMERICAL_ERRORS = (InfeasibleError, CancellationError, OverflowError)
 
@@ -33,14 +33,12 @@ _RADIUS_FAMILY = {"two_point": ("two_point", lambda n: 1.0 / n),
                   "bimodal": ("two_point", lambda n: 0.5),
                   "geometric": ("log_uniform", lambda n: None),
                   "uniform": ("uniform", lambda n: None)}
-# generated families; "custom" spectra come from --spectrum files
-_GEN_FAMILIES = tuple(f for f in FAMILIES if f != "custom")
 
 
 def _spectrum_args(p):
     p.add_argument("--traces", help="traces CSV (header n,k,p_k)")
     p.add_argument("--spectrum", help="spectrum JSON file")
-    p.add_argument("--family", choices=_GEN_FAMILIES)
+    p.add_argument("--family", choices=GENERATED_FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--kappa", type=float)
     p.add_argument("--seed", type=int)
@@ -130,9 +128,12 @@ def _cmd_bounds(args):
     rows.append(["best", "upper", rep.U_best])
     if rep.L_best is not None:
         rows.append(["best", "lower", rep.L_best])
-    # log det = n (log AM + log GM/AM), as the certified interval has it
+    # log det = n (log AM + log GM/AM), as the certified interval has it:
+    # upper rows rounded up, lower rows down
     for row in rows:
-        row.append(bounds.certified_interval(tp.p[0], tp.n, row[2])[1])
+        v = row[2]
+        lo, hi = bounds.certified_interval(tp.p[0], tp.n, v, v)
+        row.append(hi if row[1] == "upper" else lo)
     _emit(args, ["bound", "side", "gm_over_am", "logdet"], rows)
     return 0
 
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-spectrum", help="generate a benchmark spectrum")
-    p.add_argument("--family", required=True, choices=_GEN_FAMILIES)
+    p.add_argument("--family", required=True, choices=GENERATED_FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--seed", type=int)

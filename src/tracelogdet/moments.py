@@ -10,7 +10,7 @@ downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,8 @@ _EPS = np.finfo(float).eps
 _EPS_INPUT = 8 * _EPS
 # relative error estimate above which Newton-identity output is garbage
 _CANCEL_TOL = 1e-6
+# round-off pad of logE_k per unit of |log e_k| + k (log n + k)
+_LOGE_PAD = 6 * math.ulp(1.0)
 
 
 class CancellationError(ArithmeticError):
@@ -93,12 +95,14 @@ class SymmetricMeans:
 
     ``logE[k-1] = log(e_k / C(n,k))`` and ``slopes[k-1] = logE_k - logE_{k-1}``
     (with ``logE_0 = 0``).  For mean-normalized inputs ``logE_1 = 0`` and the
-    slopes are nonincreasing.
+    slopes are nonincreasing.  ``delta[k-1]``, when present, bounds the
+    absolute error of ``logE[k-1]``; empty means exact to rounding.
     """
 
     n: int
     logE: np.ndarray
     slopes: np.ndarray
+    delta: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def _normalized_powers(p: np.ndarray, n: int) -> np.ndarray:
@@ -145,9 +149,29 @@ def newton_maclaurin(q, n: int) -> SymmetricMeans:
 
     ``q`` holds the normalized power sums ``q_1..q_m`` (``q_k = n * M_k``).
     The recurrence ``k*e_k = sum_j (-1)**(j-1) e_{k-j} q_j`` alternates in
-    sign, so a running error bound is propagated; if any ``e_k`` is
-    nonpositive or its estimated relative error exceeds 1e-6 a
+    sign, so a running error bound ``err_k`` is propagated; if any ``e_k``
+    is nonpositive or its estimated relative error exceeds 1e-6 a
     CancellationError is raised rather than returning garbage.
+
+    ``logE_k = log e_k - log C(n, k)`` subtracts two numbers of size about
+    ``k log n``, so it carries the pad
+    ``delta_k = err_k/e_k + 6 eps (|log e_k| + k (log n + k))``.  With
+    ``u = eps/2``, each libm call within one ulp and ``err_k/e_k <= 1e-6``,
+    to first order in eps:
+
+    - ``log e_k`` is off by ``err_k/e_k`` from the error of ``e_k``, and
+      ``math.log`` adds ``eps |log e_k|``;
+    - ``log_binomial`` sums ``k log n``, ``-log k!`` and ``S``, the sum of
+      ``log1p(-i/n)`` over ``i < k``, each of size at most ``k log n``.
+      Rounding adds ``3/2 eps k log n`` to the first, ``eps log k!`` to
+      the second, and ``eps |S| + u sum i/(n-i)`` with ``i/(n-i) <= k-1``
+      to the third; ``fsum`` and the two additions add ``3 u k log n``;
+    - the final subtraction adds ``u (|log e_k| + k log n)``.
+
+    So ``logE_k`` is off by at most
+    ``err_k/e_k + eps (3/2 |log e_k| + 11/2 k log n + k**2/2)``.  The pad
+    covers that, the second-order terms and the rounding of the padded
+    value itself.
     """
     q = np.asarray(q, dtype=float).tolist()
     m = len(q)
@@ -169,9 +193,16 @@ def newton_maclaurin(q, n: int) -> SymmetricMeans:
                 f"error estimate {err_k:.3e})")
         e.append(e_k)
         err.append(err_k)
-    logE = [math.log(e[k]) - log_binomial(n, k) for k in range(1, m + 1)]
+    log_n = math.log(n)
+    logE, delta = [], []
+    for k in range(1, m + 1):
+        log_e = math.log(e[k])
+        logE.append(log_e - log_binomial(n, k))
+        delta.append(err[k] / e[k]
+                     + _LOGE_PAD * (abs(log_e) + k * (log_n + k)))
     slopes = [hi - lo for hi, lo in zip(logE, [0.0] + logE)]
-    return SymmetricMeans(n=n, logE=np.array(logE), slopes=np.array(slopes))
+    return SymmetricMeans(n=n, logE=np.array(logE), slopes=np.array(slopes),
+                          delta=np.array(delta))
 
 
 def esp_from_values(values, m: int) -> np.ndarray:

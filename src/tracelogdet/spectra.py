@@ -28,6 +28,8 @@ from .moments import TracePowers
 
 FAMILIES = ("geometric", "uniform", "lognormal", "two_point", "bimodal",
             "clustered", "custom")
+# the families generate() builds; "custom" spectra wrap explicit lists
+GENERATED_FAMILIES = tuple(f for f in FAMILIES if f != "custom")
 RANDOM_FAMILIES = ("lognormal", "clustered")
 
 # deterministic families must hit the requested condition number exactly
@@ -55,7 +57,8 @@ class Spectrum:
             raise ValueError("eigenvalues must be sorted ascending")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("geometric", "uniform", "two_point", "bimodal"):
+        if (self.family in GENERATED_FAMILIES
+                and self.family not in RANDOM_FAMILIES):
             ratio = lam[-1] / lam[0]
             if not math.isclose(ratio, self.kappa, rel_tol=_KAPPA_RTOL):
                 raise ValueError(
@@ -85,7 +88,7 @@ def generate(family: str, n: int, kappa: float,
     ``seed`` is required for the random families (lognormal, clustered)
     and ignored for the deterministic ones.
     """
-    if family not in FAMILIES or family == "custom":
+    if family not in GENERATED_FAMILIES:
         raise ValueError(f"cannot generate family {family!r}")
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -179,12 +179,8 @@ def test_criterion_06_bound_validity_sweep():
                     s.eigenvalues, 4)
                 uppers = {
                     "rodin": bounds.rodin_upper(nm.M[1], n),
-                    "maclaurin": bounds.closed_form_upper(
-                        "maclaurin", sm=sm, m=4),
-                    "last_slope": bounds.closed_form_upper(
-                        "last_slope", sm=sm, m=4),
-                    "combined": bounds.closed_form_upper(
-                        "combined", sm=sm, M2=nm.M[1], n=n),
+                    "maclaurin": bounds.maclaurin_upper(sm, 4),
+                    "last_slope": bounds.last_slope_upper(sm, 4),
                 }
                 lowers = {"k2_closed": bounds.lower_k2_closed(nm.M[1], r)}
                 for k in (3, 4):

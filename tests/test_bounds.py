@@ -22,12 +22,18 @@ class TestClosedForms:
         nm = moments.normalize(spectra.trace_powers(s, 4))
         sm = moments.symmetric_means_from_eigenvalues(s.eigenvalues, 4)
         assert bounds.rodin_upper(nm.M[1], 4) == pytest.approx(1.0, abs=1e-12)
-        for kind in ("maclaurin", "last_slope"):
-            got = bounds.closed_form_upper(kind, sm=sm, m=4 if kind ==
-                                           "maclaurin" else 3)
+        for got in (bounds.maclaurin_upper(sm, 4),
+                    bounds.last_slope_upper(sm, 3)):
             assert got == pytest.approx(1.0, abs=1e-10)
-        comb = bounds.closed_form_upper("combined", sm=sm, M2=nm.M[1], n=4)
-        assert comb == pytest.approx(1.0, abs=1e-10)
+
+    def test_order_checks(self):
+        sm = moments.symmetric_means_from_eigenvalues([0.5, 1.0, 1.5], 2)
+        for bound in (bounds.maclaurin_upper, bounds.last_slope_upper):
+            for m in (0, 3):
+                with pytest.raises(ValueError, match="m out of range"):
+                    bound(sm, m)
+        with pytest.raises(ValueError, match="m >= 2"):
+            bounds.last_slope_upper(sm, 1)
 
     def test_rodin_sharp_on_two_point(self):
         _, st, nm, _ = _setup("two_point", 2, 4, 2)  # spectrum {1, 4}
@@ -41,8 +47,8 @@ class TestClosedForms:
     def test_last_slope_three_point(self):
         # normalized {0.5, 1, 1.5}: E_2 = 11/12
         sm = moments.symmetric_means_from_eigenvalues([0.5, 1.0, 1.5], 2)
-        ls = bounds.closed_form_upper("last_slope", sm=sm, m=2)
-        maclaurin = bounds.closed_form_upper("maclaurin", sm=sm, m=2)
+        ls = bounds.last_slope_upper(sm, 2)
+        maclaurin = bounds.maclaurin_upper(sm, 2)
         gm = (0.5 * 1.0 * 1.5) ** (1 / 3)
         assert ls == pytest.approx((11 / 12) ** (2 / 3), rel=1e-12)
         assert gm < ls < maclaurin
@@ -53,8 +59,8 @@ class TestClosedForms:
         s = spectra.generate(family, 256, kappa)
         sm = moments.symmetric_means_from_eigenvalues(s.eigenvalues, 4)
         for m in (2, 3, 4):
-            ls = bounds.closed_form_upper("last_slope", sm=sm, m=m)
-            mac = bounds.closed_form_upper("maclaurin", sm=sm, m=m)
+            ls = bounds.last_slope_upper(sm, m)
+            mac = bounds.maclaurin_upper(sm, m)
             # dominance condition: the last slope undercuts the mean slope
             if sm.slopes[m - 1] < sm.logE[m - 1] / m:
                 assert ls <= mac * (1 + 1e-12)

@@ -208,8 +208,26 @@ class TestBoundsCommand:
         rows = json.loads(capsys.readouterr().out)
         tp = io.read_traces(traces)
         for r in rows:
-            assert r["logdet"] == certified_interval(
-                tp.p[0], tp.n, r["gm_over_am"])[1]
+            v = r["gm_over_am"]
+            lo, hi = certified_interval(tp.p[0], tp.n, v, v)
+            assert r["logdet"] == (hi if r["side"] == "upper" else lo)
+
+    @pytest.mark.parametrize("n", [1024, 10 ** 5])
+    def test_rows_rounded_outward(self, n, capsys):
+        # two_point bounds are sharp: each row's log det must still lie on
+        # its own side of the truth
+        s = spectra.generate("two_point", n, 100)
+        st = spectra.exact_stats(s)
+        floor = repr(float(s.eigenvalues[0]) / st.am)
+        assert run_cli("bounds", "--family", "two_point", "--n", str(n),
+                       "--kappa", "100", "--floor", floor) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert {r["side"] for r in rows} == {"upper", "lower"}
+        for r in rows:
+            if r["side"] == "upper":
+                assert r["logdet"] >= st.logdet
+            else:
+                assert r["logdet"] <= st.logdet
 
     def test_warnings_on_stderr(self, tmp_path, capsys):
         # Newton's identities cancel on traces alone: the symmetric-mean
@@ -248,7 +266,7 @@ class TestBoundsCommand:
         assert lo <= st.logdet <= hi
 
     @pytest.mark.parametrize("family, kappa, floor", [
-        *((f, "100", "0.01") for f in spectra.FAMILIES if f != "custom"),
+        *((f, "100", "0.01") for f in spectra.GENERATED_FAMILIES),
         # Newton's identities cancel; lambda_min/AM is 0.00102
         ("two_point", "1e6", "0.001"),
     ])

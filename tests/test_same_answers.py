@@ -1,0 +1,39 @@
+"""Smoke test of ``tools/same_answers.py`` on a few benchmark queries."""
+
+import copy
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "same_answers", ROOT / "tools" / "same_answers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_reports_moves_and_differences():
+    tool = _tool()
+    wl = tool.load_workloads(ROOT)
+    a = {"reports": tool.certify_reports(wl, count=3),
+         "tables": tool.reproduce_tables(["alpha"])}
+    assert sorted(a["reports"]) == [f"{s} {i}" for s in ("exact", "noisy")
+                                    for i in range(3)]
+    assert tool.compare(a, copy.deepcopy(a)) == (
+        ["reports: 6 of 6 identical", "tables: 1 of 1 identical"], True)
+
+    b = copy.deepcopy(a)
+    rep = b["reports"]["exact 1"]
+    rep["bounds"]["upper"]["rodin"] *= 1 + 1e-12
+    rep["verdict"] = "clipped_to_upper"
+    b["tables"]["alpha"] += "x"
+    lines, ok = tool.compare(a, b)
+    assert not ok
+    assert lines[0] == "reports: 5 of 6 identical"
+    assert any(line.startswith("exact 1: verdict ") for line in lines)
+    assert any(line.startswith("  upper rodin: 1 moved, at most 1e-12")
+               for line in lines)
+    assert lines[-1] == "tables: 0 of 1 identical; differ: alpha"

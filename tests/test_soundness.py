@@ -96,3 +96,15 @@ def test_multiples_of_identity_are_not_refused():
                         / max(1.0, abs(truth)))
     assert worst <= 1e-9
 
+
+
+def test_identity_symmetric_means_padded():
+    # traces of I: log e_k - log C(n, k) cancels two numbers of size
+    # k log n, and unpadded the round-off put maclaurin_4 and last_slope_4
+    # below 1, so the single-point interval excluded log det I = 0
+    for n in (10 ** 3, 12345, 777777, 10 ** 6, 10 ** 9, 10 ** 12):
+        rep = report.certify(TracePowers(n=n, p=[float(n)] * 4), 4, r=1.0)
+        for key in ("maclaurin_4", "last_slope_4"):
+            assert rep.bounds.upper[key] >= 1.0
+        lo, hi = rep.interval
+        assert lo <= 0.0 <= hi

@@ -1,0 +1,173 @@
+"""Same-answers check: do two checkouts give the same reports and tables?
+
+    python tools/same_answers.py dump CHECKOUT OUT.json
+    python tools/same_answers.py compare A.json B.json
+
+``dump`` imports ``CHECKOUT/src`` and, without writing to it,
+``CHECKOUT/bench/workloads.py``.  It records ``certify(...).to_dict()``, or
+the refusal text, for the first 300 certify-exact and the first 300
+certify-noisy queries of the benchmark stream (seed 1, ``m = 4``,
+``ks=(2, 3, 4)``), and the CSV of each ``reproduce`` table (seed 0).
+
+``compare`` prints the number of identical reports, every difference in
+verdict, warnings, refusal, bound names or estimate, the largest relative
+move per bound name, per interval end and in ``clipped_logdet``, and the
+tables that differ.  It exits 0 only when everything is identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io as _io
+import json
+import math
+import sys
+from pathlib import Path
+
+QUERIES = 300        # per stream: the first 300 certify-exact and -noisy
+STREAM_SEED = 1
+TABLE_SEED = 0
+STREAMS = (("exact", False), ("noisy", True))
+
+
+def load_workloads(checkout: Path):
+    """Import ``checkout/bench/workloads.py`` without writing bytecode."""
+    path = Path(checkout) / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def certify_reports(wl, count: int = QUERIES) -> dict[str, dict]:
+    """``"exact 0"`` etc. to the report dict, or ``{"refused": text}``."""
+    from tracelogdet import report
+
+    stream = wl.Stream(STREAM_SEED)
+    out = {}
+    for label, noisy in STREAMS:
+        for i in range(count):
+            q = wl.certify_query(stream, i, noisy)
+            try:
+                out[f"{label} {i}"] = report.certify(
+                    q.tp, wl.CERTIFY_M, r=q.r, ks=wl.CERTIFY_KS).to_dict()
+            except ValueError as exc:
+                out[f"{label} {i}"] = {"refused": str(exc)}
+    return out
+
+
+def reproduce_tables(names=None) -> dict[str, str]:
+    """Each ``reproduce`` table as the CSV text the CLI writes."""
+    from tracelogdet import io, tables
+
+    out = {}
+    for name in sorted(tables.BUILDERS) if names is None else names:
+        buf = _io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            io.write_csv(None, *tables.BUILDERS[name](seed=TABLE_SEED))
+        out[name] = buf.getvalue()
+    return out
+
+
+def dump(checkout: Path, out: Path) -> None:
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(Path(checkout) / "src"))
+    wl = load_workloads(checkout)
+    data = {"reports": certify_reports(wl), "tables": reproduce_tables()}
+    Path(out).write_text(json.dumps(data, indent=1) + "\n")
+
+
+def _values(rep: dict) -> dict[str, float | None]:
+    """The numbers of one report whose moves are summarized, by name."""
+    b = rep["bounds"]
+    vals = {f"upper {k}": v for k, v in b["upper"].items()}
+    vals.update({f"lower {k}": v for k, v in b["lower"].items()})
+    vals.update({"U_best": b["U_best"], "L_best": b["L_best"],
+                 "interval lo": rep["interval"][0],
+                 "interval hi": rep["interval"][1],
+                 "clipped_logdet": rep["clipped_logdet"]})
+    return vals
+
+
+def _rel(a, b) -> float:
+    if a == b:
+        return 0.0
+    return abs(a - b) / abs(a) if a else math.inf
+
+
+def _report_diffs(key: str, a: dict, b: dict, moves: dict) -> list[str]:
+    """Structural differences of one report; numeric moves go to ``moves``."""
+    if "refused" in a or "refused" in b:
+        return [f"{key}: refusal {a.get('refused')!r} -> "
+                f"{b.get('refused')!r}"]
+    lines = []
+    for field in ("verdict", "warnings", "estimate", "input", "m"):
+        if a[field] != b[field]:
+            lines.append(f"{key}: {field} {a[field]!r} -> {b[field]!r}")
+    for side in ("upper", "lower"):
+        if list(a["bounds"][side]) != list(b["bounds"][side]):
+            lines.append(f"{key}: {side} bound names "
+                         f"{list(a['bounds'][side])} -> "
+                         f"{list(b['bounds'][side])}")
+    va, vb = _values(a), _values(b)
+    for name in sorted(va.keys() & vb.keys()):
+        x, y = va[name], vb[name]
+        if (x is None) != (y is None):
+            lines.append(f"{key}: {name} {x!r} -> {y!r}")
+        elif x is not None and x != y:
+            rel = _rel(x, y)
+            worst, count = moves.get(name, ((0.0,), 0))
+            moves[name] = (max(worst, (rel, key, x, y)), count + 1)
+    return lines
+
+
+def compare(a: dict, b: dict) -> tuple[list[str], bool]:
+    """Report lines and whether the two dumps are identical."""
+    lines, moves = [], {}
+    ra, rb = a["reports"], b["reports"]
+    same = [k for k in ra if k in rb and ra[k] == rb[k]]
+    lines.append(f"reports: {len(same)} of {len(ra)} identical")
+    for key in sorted(ra.keys() ^ rb.keys()):
+        lines.append(f"{key}: present on one side only")
+    for key in ra:
+        if key in rb and ra[key] != rb[key]:
+            lines += _report_diffs(key, ra[key], rb[key], moves)
+    if moves:
+        lines.append("values moved, and the largest relative move:")
+        for name in sorted(moves):
+            (rel, key, x, y), count = moves[name]
+            lines.append(f"  {name}: {count} moved, at most {rel:.2g} "
+                         f"({key}: {x!r} -> {y!r})")
+    ta, tb = a["tables"], b["tables"]
+    names = ta.keys() | tb.keys()
+    differ = sorted(t for t in names if ta.get(t) != tb.get(t))
+    lines.append(f"tables: {len(names) - len(differ)} of {len(names)} "
+                 "identical" + (f"; differ: {', '.join(differ)}"
+                                if differ else ""))
+    ok = len(same) == len(ra) == len(rb) and not differ
+    return lines, ok
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "dump":
+        dump(Path(argv[1]), Path(argv[2]))
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
+        lines, ok = compare(a, b)
+        print("\n".join(lines))
+        return 0 if ok else 1
+    usage = __doc__.strip().splitlines()[2:4]
+    print("usage:\n" + "\n".join(usage), file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())
