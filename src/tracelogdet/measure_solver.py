@@ -13,17 +13,16 @@ are principal representations: canonical quadrature rules of the moments.
     odd    Gauss, (k+1)/2 nodes         Lobatto, nodes pinned at r and cap
     even   Radau, node pinned at cap    Radau, node pinned at r
 
-The rules come from the three-term recurrence of the moments and the
-Golub-Welsch eigen-solve of its Jacobi matrix.  A rule whose moment
-residual lies above round-off, as near the boundary of the moment space,
-gets a few Newton steps on the moment system.  When the recurrence breaks
-down the moments lie on the boundary of the moment space: a single measure
-represents them, and it serves both senses.
+The rules come from the three-term recurrence of the moments (Golub &
+Welsch, *Calculation of Gauss quadrature rules*, 1969): the nodes are the
+eigenvalues of its Jacobi matrix, and the weights its Christoffel numbers,
+which keep their relative accuracy down to the smallest weight.  When the
+recurrence breaks down the moments lie on the boundary of the moment space:
+a single measure represents them, and it serves both senses.
 
 The moments have a handful of entries, and numpy's per-call dispatch
-would cost more than their arithmetic, so the recurrence, the pins and the
-checks run on Python floats.  numpy serves only the eigen-solve and the
-Newton step.
+would cost more than their arithmetic, so the recurrence, the weights, the
+pins and the checks run on Python floats.  numpy serves only ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -114,7 +113,13 @@ def _recurrence(mom: list[float]):
 
 
 def _jacobi_rule(diag: list[float], offdiag_sq: list[float]):
-    """Nodes and unit-mass weights of a Jacobi matrix (Golub-Welsch)."""
+    """Nodes of a Jacobi matrix and their Christoffel numbers, unit mass.
+
+    The weight of node x is ``1 / sum_{j<n} p_j(x)**2 / ||p_j||**2`` over
+    the monic recurrence of the matrix, ``||p_j||**2 = b_0 ... b_j``: a sum
+    of positive terms, so even the smallest weight keeps its relative
+    accuracy (Gautschi, *Orthogonal Polynomials*, 2004, sec. 1.4 and 3.1).
+    """
     if not all(map(math.isfinite, diag + offdiag_sq)):
         raise InfeasibleError("the moments define no quadrature rule")
     n = len(diag)
@@ -123,8 +128,17 @@ def _jacobi_rule(diag: list[float], offdiag_sq: list[float]):
     T[::n + 1] = diag
     T[1::n + 1] = off
     T[n::n + 1] = off
-    vals, vecs = np.linalg.eigh(T.reshape(n, n))
-    return vals.tolist(), (vecs[0] ** 2).tolist()
+    x = np.linalg.eigvalsh(T.reshape(n, n)).tolist()
+    b = [1.0] + offdiag_sq  # b_0 = m_0 = 1
+    w = []
+    for z in x:
+        pm, p, norm, total = 0.0, 1.0, 1.0, 1.0
+        for j in range(n - 1):
+            pm, p = p, (z - diag[j]) * p - b[j] * pm
+            norm *= b[j + 1]
+            total += p * p / norm
+        w.append(1.0 / total)
+    return x, w
 
 
 def _ratio(a: list[float], b: list[float], z: float) -> float:
@@ -135,40 +149,10 @@ def _ratio(a: list[float], b: list[float], z: float) -> float:
     return pm / p if p != 0.0 else -math.inf
 
 
-def _polish(x, w, free, mom):
-    """Newton steps on ``sum_i w_i x_i**j = m_j`` while the residual drops.
-
-    The residual is checked on floats first: most rules are already at
-    round-off, and those take no step and skip numpy.
-    """
-    if max(abs(got - mj) / mj
-           for got, mj in zip(_moments(x, w, len(mom) - 1), mom)) < 1e-14:
-        return x, w
-    x, w, mom = np.array(x), np.array(w), np.array(mom)
-    free = np.array(free)
-    js = np.arange(mom.size)[:, None]
-    res = ((x ** js) @ w - mom) / mom
-    for _ in range(6):
-        if np.max(np.abs(res)) < 1e-14:  # already at round-off
-            break
-        dx = js * x ** np.maximum(js - 1, 0) * w
-        J = np.hstack([dx[:, free], x ** js]) / mom[:, None]
-        norms = np.linalg.norm(J, axis=0)
-        norms[norms == 0] = 1.0
-        step = np.linalg.lstsq(J / norms, -res, rcond=None)[0] / norms
-        x2, w2 = x.copy(), w + step[free.sum():]
-        x2[free] += step[:free.sum()]
-        res2 = ((x2 ** js) @ w2 - mom) / mom
-        if np.any(w2 < 0) or not np.max(np.abs(res2)) < np.max(np.abs(res)):
-            break
-        x, w, res = x2, w2, res2
-    return x.tolist(), w.tolist()
-
-
 def _extremal(sense: str, Mfull: list[float], lo: float, cap: float):
     """Nodes and weights of the rule in the module table, before checks."""
     k = len(Mfull) - 1
-    # moments of x/c equilibrate the recursion and the Newton system
+    # moments of x/c equilibrate the recursion
     c = max(Mfull[-1] ** (1.0 / k), 1e-8)
     mom = [Mj / c ** j for j, Mj in enumerate(Mfull)]
     a, b, exhausted = _recurrence(mom)
@@ -189,14 +173,9 @@ def _extremal(sense: str, Mfull: list[float], lo: float, cap: float):
             x, w = _jacobi_rule(a + [lo / c - bN * r_lo], b[1:] + [bN])
         else:  # Gauss, also when round-off at a floor drives a Lobatto bN <= 0
             x, w = _jacobi_rule(a, b[1:])
-    fixed = [min(range(len(x)), key=lambda i: abs(c * x[i] - z))
-             for z in pins]
-    free = [True] * len(x)
-    for i, z in zip(fixed, pins):
-        free[i] = False
-        x[i] = z / c
-    x, w = _polish(x, w, free, mom)
     x = [c * xi for xi in x]
+    # snap the pinned nodes onto the ends they stand for
+    fixed = [min(range(len(x)), key=lambda i: abs(x[i] - z)) for z in pins]
     for i, z in zip(fixed, pins):
         x[i] = z
     return x, w

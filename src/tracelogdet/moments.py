@@ -65,8 +65,10 @@ class NormalizedMoments:
         object.__setattr__(self, "M", np.asarray(self.M, dtype=float))
         if self.M[0] != 1.0:
             raise ValueError("M_1 must be exactly 1")
-        if not all(Mk > 0 for Mk in self.M.tolist()):
-            raise ValueError("moments must be positive")
+        for k, Mk in enumerate(self.M.tolist(), 1):
+            if not 0 < Mk < math.inf:
+                raise ValueError(f"moment M_{k} = {Mk:g} is not positive "
+                                 "and finite")
 
     @property
     def m(self) -> int:
@@ -117,7 +119,8 @@ def _normalized_powers(p: np.ndarray, n: int) -> np.ndarray:
         for i in np.flatnonzero(~np.all(np.isfinite(rows), axis=1)):
             logM = (np.log(prows[i]) + (ks - 1) * math.log(n)
                     - ks * math.log(prows[i, 0]))
-            rows[i] = np.exp(logM)
+            with np.errstate(over="ignore"):  # NormalizedMoments refuses inf
+                rows[i] = np.exp(logM)
     M[..., 0] = 1.0
     return M
 

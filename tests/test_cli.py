@@ -312,6 +312,14 @@ class TestExitCodes:
         assert run_cli("certify", "--traces", str(path)) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_overflowing_moment(self, tmp_path, capsys):
+        path = tmp_path / "traces.csv"
+        path.write_text("n,k,p_k\n10000000000,1,1\n10000000000,2,1e300\n"
+                        "10000000000,3,1e300\n10000000000,4,1e300\n")
+        assert run_cli("estimate", "--traces", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: moment M_2 = inf is not positive and finite\n"
+
     def test_numerical_failure(self, capsys):
         # kappa**m overflows the float range -> exit 3
         rc = run_cli("traces", "--family", "geometric", "--n", "4",

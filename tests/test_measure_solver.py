@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tracelogdet import moments, spectra
+from tracelogdet import measure_solver, moments, spectra
 from tracelogdet.measure_solver import (AtomicMeasure, InfeasibleError,
                                         moment_residual, solve)
 
@@ -161,3 +161,41 @@ class TestContracts:
         assert obj == pytest.approx(st.kprime0, abs=1e-9)
         obj_min, _ = solve("min", M, r=mu.x[0])
         assert obj_min == pytest.approx(st.kprime0, abs=1e-9)
+
+
+@pytest.mark.parametrize("family,kappa", [("geometric", 100),
+                                          ("clustered", 100),
+                                          ("uniform", 1000)])
+@pytest.mark.parametrize("k", [7, 8])
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_weights_match_high_precision(family, kappa, k, sense, monkeypatch):
+    # each node's weight multiplies about cap**k in the top moment, so the
+    # smallest weights must be right in relative terms, not only absolute
+    mpmath = pytest.importorskip("mpmath")
+    jacobi_rule, rules = measure_solver._jacobi_rule, []
+
+    def recorded(diag, offdiag_sq):
+        x, w = jacobi_rule(diag, offdiag_sq)
+        rules.append((diag, offdiag_sq, w))
+        return x, w
+
+    monkeypatch.setattr(measure_solver, "_jacobi_rule", recorded)
+    M, st, s = _moments_of(family, 1024, kappa, k, seed=5)
+    r = float(s.eigenvalues[0]) / st.am if sense == "min" else None
+    _, mu = solve(sense, M, r=r)
+    resid = max(abs(mu.moment(j + 1) - M[j]) / max(1.0, M[j])
+                for j in range(k))
+    assert resid <= 1e-12
+    assert len(rules) == 1
+    diag, offdiag_sq, w = rules[0]
+    with mpmath.workdps(50):
+        n = len(diag)
+        T = mpmath.zeros(n, n)
+        for i in range(n):
+            T[i, i] = diag[i]
+        for i, b in enumerate(offdiag_sq):
+            T[i, i + 1] = T[i + 1, i] = mpmath.sqrt(b)
+        vals, vecs = mpmath.eigsy(T)
+        exact = [float(vecs[0, i] ** 2) for i in sorted(
+            range(n), key=lambda i: vals[i])]
+    np.testing.assert_allclose(w, exact, rtol=1e-12, atol=0)

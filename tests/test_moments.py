@@ -33,6 +33,16 @@ class TestNormalize:
             nm = moments.normalize(tp)
         np.testing.assert_allclose(nm.M, [1, 2, 5, 1e101], rtol=1e-12)
 
+    @pytest.mark.parametrize("n,p,k", [(10**10, [1.0, 1e300, 1e300], 2),
+                                       (1000, [1e-300] * 4, 3)])
+    def test_overflowing_moment_is_refused_silently(self, n, p, k):
+        # M_2 > n: no spectrum has these traces, and M_k overflows a float
+        tp = moments.TracePowers(n=n, p=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"M_{k} = inf"):
+                moments.normalize(tp)
+
     @pytest.mark.parametrize("p", [[6, -1], [6, np.inf], [np.inf, 14],
                                    [6, np.nan]],
                              ids=["negative", "inf_p2", "inf_p1", "nan"])

@@ -37,3 +37,21 @@ def test_compare_reports_moves_and_differences():
     assert any(line.startswith("  upper rodin: 1 moved, at most 1e-12")
                for line in lines)
     assert lines[-1] == "tables: 0 of 1 identical; differ: alpha"
+
+    # a warning whose text changes but whose bound stays is folded into one
+    # line; a warning that moves to another bound is listed
+    a["reports"]["exact 2"]["warnings"] = [
+        "upper ktrace_4: extremal measure misses the moments by 2.1e-08"]
+    b = copy.deepcopy(a)
+    b["reports"]["exact 2"]["warnings"] = [
+        "upper ktrace_4: extremal measure has atoms outside the support"]
+    assert tool.compare(a, b) == (
+        ["reports: 5 of 6 identical",
+         "warnings: 1 reports differ only in detail text",
+         "tables: 1 of 1 identical"], False)
+    b["reports"]["exact 2"]["warnings"] = [
+        "lower ktrace_4: extremal measure misses the moments by 2.1e-08"]
+    lines, ok = tool.compare(a, b)
+    assert not ok
+    assert lines[1].startswith("exact 2: warnings ['upper ktrace_4: ")
+    assert not any(line.startswith("warnings: ") for line in lines)

@@ -10,9 +10,10 @@ certify-noisy queries of the benchmark stream (seed 1, ``m = 4``,
 ``ks=(2, 3, 4)``), and the CSV of each ``reproduce`` table (seed 0).
 
 ``compare`` prints the number of identical reports, every difference in
-verdict, warnings, refusal, bound names or estimate, the largest relative
-move per bound name, per interval end and in ``clipped_logdet``, and the
-tables that differ.  It exits 0 only when everything is identical.
+verdict, warned bounds, refusal, bound names or estimate, the number of
+reports whose warnings differ only in their detail text, the largest
+relative move per bound name, per interval end and in ``clipped_logdet``,
+and the tables that differ.  It exits 0 only when everything is identical.
 """
 
 from __future__ import annotations
@@ -101,15 +102,29 @@ def _rel(a, b) -> float:
     return abs(a - b) / abs(a) if a else math.inf
 
 
+def _warned(rep: dict) -> list[str]:
+    """Each warning up to its colon: ``"upper ktrace_4"`` and the like."""
+    return [w.split(":", 1)[0] for w in rep.get("warnings", [])]
+
+
+def _detail_only(a: dict, b: dict) -> bool:
+    """Whether the warnings differ in text but warn the same bounds."""
+    return (a.get("warnings") != b.get("warnings")
+            and _warned(a) == _warned(b))
+
+
 def _report_diffs(key: str, a: dict, b: dict, moves: dict) -> list[str]:
     """Structural differences of one report; numeric moves go to ``moves``."""
     if "refused" in a or "refused" in b:
         return [f"{key}: refusal {a.get('refused')!r} -> "
                 f"{b.get('refused')!r}"]
     lines = []
-    for field in ("verdict", "warnings", "estimate", "input", "m"):
+    for field in ("verdict", "estimate", "input", "m"):
         if a[field] != b[field]:
             lines.append(f"{key}: {field} {a[field]!r} -> {b[field]!r}")
+    if _warned(a) != _warned(b):
+        lines.append(f"{key}: warnings {a['warnings']!r} -> "
+                     f"{b['warnings']!r}")
     for side in ("upper", "lower"):
         if list(a["bounds"][side]) != list(b["bounds"][side]):
             lines.append(f"{key}: {side} bound names "
@@ -138,6 +153,10 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     for key in ra:
         if key in rb and ra[key] != rb[key]:
             lines += _report_diffs(key, ra[key], rb[key], moves)
+    detail = sum(_detail_only(ra[key], rb[key]) for key in ra if key in rb)
+    if detail:
+        lines.append(f"warnings: {detail} reports differ only in detail "
+                     "text")
     if moves:
         lines.append("values moved, and the largest relative move:")
         for name in sorted(moves):
