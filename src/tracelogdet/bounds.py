@@ -77,10 +77,9 @@ def rodin_upper(M2: float, n: int) -> float:
 
 def _log_E(sm: SymmetricMeans, k: int, outward: float) -> float:
     """``logE_k`` moved outward by its round-off pad, when ``sm`` has one."""
-    if k < 1 or k > sm.logE.size:
+    if k < 1 or k > len(sm.logE):
         raise ValueError("m out of range for the available symmetric means")
-    return sm.logE[k - 1] + (outward * sm.delta[k - 1] if sm.delta.size
-                             else 0.0)
+    return sm.logE[k - 1] + (outward * sm.delta[k - 1] if sm.delta else 0.0)
 
 
 def maclaurin_upper(sm: SymmetricMeans, m: int) -> float:
@@ -226,7 +225,7 @@ def bounds_report(nm: NormalizedMoments, ks=(2, 3, 4),
     sm = None
     if m_top >= 2:
         try:
-            sm = newton_maclaurin(nm.n * nm.M[:m_top], nm.n)
+            sm = newton_maclaurin([nm.n * Mk for Mk in nm.M[:m_top]], nm.n)
         except CancellationError as exc:
             rep.warnings.append(f"symmetric-mean bounds skipped: {exc}")
     skipped = [k for k in ks if k > nm.m]

@@ -26,16 +26,19 @@ _MAX_ORDER = 64
 class WeightVector:
     """Derivative-at-zero weights of the Lagrange basis on nodes 0..m.
 
-    ``w[j-1] = w_j`` for ``j = 1..m`` and ``w0 = -H_m`` (minus the m-th
-    harmonic number).  Exact Fractions are kept alongside the float
-    values because the identities they satisfy are tested exactly.
+    ``w[j-1] = w_j`` for ``j = 1..m``, a tuple of floats, and
+    ``w0_exact = -H_m`` (minus the m-th harmonic number).  Exact Fractions
+    are kept alongside the float values because the identities they
+    satisfy are tested exactly.
     """
 
     m: int
-    w0: float
-    w: np.ndarray
+    w: tuple[float, ...]
     w0_exact: Fraction
     w_exact: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", tuple(map(float, self.w)))
 
 
 @dataclass(frozen=True)
@@ -52,22 +55,14 @@ class EstimateReport:
 def lagrange_weights(m: int) -> WeightVector:
     """Exact interpolation derivative weights for nodes ``{0, 1, ..., m}``.
 
-    Cached per order; the shared float array is read-only.
+    Cached per order.
     """
     if not 2 <= m <= _MAX_ORDER:
         raise ValueError(f"m must lie in [2, {_MAX_ORDER}]")
     w_exact = tuple(Fraction((-1) ** (j - 1) * math.comb(m, j), j)
                     for j in range(1, m + 1))
     w0_exact = -sum(Fraction(1, k) for k in range(1, m + 1))
-    w = np.array([float(f) for f in w_exact])
-    w.flags.writeable = False
-    return WeightVector(
-        m=m,
-        w0=float(w0_exact),
-        w=w,
-        w0_exact=w0_exact,
-        w_exact=w_exact,
-    )
+    return WeightVector(m=m, w=w_exact, w0_exact=w0_exact, w_exact=w_exact)
 
 
 def _finish(method, m, kprime0_hat, n=None, am=None, alpha=None):
@@ -117,8 +112,7 @@ def latane_estimate(mu, order: int) -> EstimateReport:
     leave ``(0, 2*AM)``; that divergence is documented behavior, not an
     error.
     """
-    mu = np.asarray(mu, dtype=float)
-    if order < 2 or mu.size < order - 1:
+    if order < 2 or len(mu) < order - 1:
         raise ValueError(f"need central moments 2..{order}")
     hat = math.fsum((-1.0) ** (k - 1) * mu[k - 2] / k
                     for k in range(2, order + 1))
@@ -133,11 +127,10 @@ def transform_estimate(G, alpha: complex, m: int) -> EstimateReport:
     the divisor ``f'(1)`` equals 1 for the whole family used here, so the
     weighted sum is returned as-is (real part).
     """
-    G = np.asarray(G, dtype=float)
     if G[0] != 0.0 or G[1] != 0.0:
         raise ValueError("transformed samples must have G(0) = G(1) = 0")
-    if m > G.size - 1:
-        raise ValueError(f"need samples up to {m}, have {G.size - 1}")
+    if m > len(G) - 1:
+        raise ValueError(f"need samples up to {m}, have {len(G) - 1}")
     wv = lagrange_weights(m)
     hat = math.fsum(wv.w[j - 1] * G[j] for j in range(2, m + 1))
     return _finish("boxcox", m, hat, alpha=complex(alpha))

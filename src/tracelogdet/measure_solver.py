@@ -47,34 +47,36 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Weighted atoms ``(x_i, w_i)`` with ``sum w = 1``, sorted by location."""
+    """Weighted atoms ``(x_i, w_i)`` with ``sum w = 1``, sorted by location.
 
-    x: np.ndarray
-    w: np.ndarray
+    ``x`` and ``w`` are tuples of floats of the same length.
+    """
+
+    x: tuple[float, ...]
+    w: tuple[float, ...]
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).tolist()
-        w = np.asarray(self.w, dtype=float).tolist()
+        x, w = tuple(map(float, self.x)), tuple(map(float, self.w))
+        if len(x) != len(w):
+            raise ValueError(f"{len(x)} atoms but {len(w)} weights")
         order = sorted(range(len(x)), key=x.__getitem__)
-        x, w = [x[i] for i in order], [w[i] for i in order]
+        x, w = tuple(x[i] for i in order), tuple(w[i] for i in order)
         if any(xi <= 0 for xi in x) or any(wi < 0 for wi in w):
             raise ValueError("atoms must be positive with nonnegative weights")
         if abs(math.fsum(w) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "x", np.array(x))
-        object.__setattr__(self, "w", np.array(w))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "w", w)
 
     @property
     def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.x.tolist(), self.w.tolist()))
+        return list(zip(self.x, self.w))
 
     def log_mean(self) -> float:
-        return math.fsum(wi * math.log(xi)
-                         for xi, wi in zip(self.x.tolist(), self.w.tolist()))
+        return math.fsum(wi * math.log(xi) for xi, wi in zip(self.x, self.w))
 
     def moment(self, j: int) -> float:
-        return math.fsum([wi * xi ** j
-                          for xi, wi in zip(self.x.tolist(), self.w.tolist())])
+        return math.fsum([wi * xi ** j for xi, wi in zip(self.x, self.w)])
 
 
 def _moments(x: list[float], w: list[float], k: int) -> list[float]:
@@ -85,8 +87,7 @@ def _moments(x: list[float], w: list[float], k: int) -> list[float]:
 
 def moment_residual(mu: AtomicMeasure, M) -> float:
     """Largest absolute deviation of the measure's moments from ``M_1..M_k``."""
-    M = np.asarray(M, dtype=float)
-    return max(abs(mu.moment(j + 1) - M[j]) for j in range(M.size))
+    return max(abs(mu.moment(j) - Mj) for j, Mj in enumerate(M, 1))
 
 
 def _recurrence(mom: list[float]):
@@ -183,10 +184,10 @@ def _extremal(sense: str, Mfull: list[float], lo: float, cap: float):
 
 def _fixed_two_point(M: list[float], w):
     """Atoms ``1 - s sqrt(w_2/w_1)``, ``1 + s sqrt(w_1/w_2)``, s**2 = M_2-1."""
-    w = np.asarray(w, dtype=float)
-    if len(M) != 2 or w.shape != (2,) or not np.all(w > 0):
+    w = list(map(float, w))
+    if len(M) != 2 or len(w) != 2 or not all(wi > 0 for wi in w):
         raise ValueError("fixed_weights takes two positive weights and k = 2")
-    w1, w2 = w.tolist()
+    w1, w2 = w
     s = math.sqrt(M[1] - 1.0)
     return [1 - s * math.sqrt(w2 / w1), 1 + s * math.sqrt(w1 / w2)], [w1, w2]
 
@@ -204,7 +205,6 @@ def solve(sense: str, M, r: float | None = None, *,
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
-    M = np.asarray(M, dtype=float).tolist()
     k = len(M)
     if k < 1 or abs(M[0] - 1.0) > 1e-12:
         raise ValueError("need normalized moments with M_1 = 1")
@@ -219,7 +219,7 @@ def solve(sense: str, M, r: float | None = None, *,
     if ((k >= 2 and M[1] <= 1.0 + POINT_MASS_TOL)
             or (k == 1 and sense == "max")):
         return 0.0, AtomicMeasure([1.0], [1.0])
-    Mfull = [1.0] + M
+    Mfull = [1.0, *M]
     cap = _BIG_CAP * max(M[-1] ** (1.0 / k), 1.0)
     lo = r if sense == "min" else _ATOM_FLOOR
     x, w = (_extremal(sense, Mfull, lo, cap) if fixed_weights is None

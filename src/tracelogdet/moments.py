@@ -10,11 +10,11 @@ downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-_EPS = np.finfo(float).eps
+_EPS = math.ulp(1.0)
 # assumed relative accuracy of incoming power sums
 _EPS_INPUT = 8 * _EPS
 # relative error estimate above which Newton-identity output is garbage
@@ -56,55 +56,64 @@ class TracePowers:
 
 @dataclass(frozen=True)
 class NormalizedMoments:
-    """Moments ``M_k = n**(k-1) * p_k / p_1**k`` with ``M_1 = 1`` exact."""
+    """Moments ``M_k = n**(k-1) * p_k / p_1**k`` with ``M_1 = 1`` exact.
+
+    ``M`` is a tuple of floats, ``M[k-1] = M_k``.
+    """
 
     n: int
-    M: np.ndarray  # M[k-1] = M_k
+    M: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "M", np.asarray(self.M, dtype=float))
+        object.__setattr__(self, "M", tuple(map(float, self.M)))
         if self.M[0] != 1.0:
             raise ValueError("M_1 must be exactly 1")
-        for k, Mk in enumerate(self.M.tolist(), 1):
+        for k, Mk in enumerate(self.M, 1):
             if not 0 < Mk < math.inf:
                 raise ValueError(f"moment M_{k} = {Mk:g} is not positive "
                                  "and finite")
 
     @property
     def m(self) -> int:
-        return self.M.size
+        return len(self.M)
 
 
 @dataclass(frozen=True)
 class CumulantSamples:
-    """Integer samples ``K(0..m)`` of the log-moment curve, ``K[0]=K[1]=0``."""
+    """Integer samples ``K(0..m)`` of the log-moment curve, ``K[0]=K[1]=0``.
 
-    K: np.ndarray  # K[j] = K(j)
+    ``K`` is a tuple of floats, ``K[j] = K(j)``.
+    """
+
+    K: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
+        object.__setattr__(self, "K", tuple(map(float, self.K)))
         if self.K[0] != 0.0 or self.K[1] != 0.0:
             raise ValueError("K(0) and K(1) must be exactly 0")
 
     @property
     def m(self) -> int:
-        return self.K.size - 1
+        return len(self.K) - 1
 
 
 @dataclass(frozen=True)
 class SymmetricMeans:
-    """Log of normalized elementary symmetric means and their slopes.
+    """Log of normalized elementary symmetric means, as tuples of floats.
 
-    ``logE[k-1] = log(e_k / C(n,k))`` and ``slopes[k-1] = logE_k - logE_{k-1}``
-    (with ``logE_0 = 0``).  For mean-normalized inputs ``logE_1 = 0`` and the
-    slopes are nonincreasing.  ``delta[k-1]``, when present, bounds the
-    absolute error of ``logE[k-1]``; empty means exact to rounding.
+    ``logE[k-1] = log(e_k / C(n,k))``.  For mean-normalized inputs
+    ``logE_1 = 0`` and the slopes ``logE_k - logE_{k-1}`` (``logE_0 = 0``)
+    are nonincreasing.  ``delta[k-1]``, when present, bounds the absolute
+    error of ``logE[k-1]``; empty means exact to rounding.
     """
 
     n: int
-    logE: np.ndarray
-    slopes: np.ndarray
-    delta: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    logE: tuple[float, ...]
+    delta: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "logE", tuple(map(float, self.logE)))
+        object.__setattr__(self, "delta", tuple(map(float, self.delta)))
 
 
 def _normalized_powers(p: np.ndarray, n: int) -> np.ndarray:
@@ -127,13 +136,14 @@ def _normalized_powers(p: np.ndarray, n: int) -> np.ndarray:
 
 def normalize(tp: TracePowers) -> NormalizedMoments:
     """Trace powers to normalized moments, forcing ``M_1 = 1`` exactly."""
-    return NormalizedMoments(n=tp.n, M=_normalized_powers(tp.p, tp.n))
+    return NormalizedMoments(n=tp.n,
+                             M=_normalized_powers(tp.p, tp.n).tolist())
 
 
 def cumulants(nm: NormalizedMoments) -> CumulantSamples:
-    K = np.zeros(nm.m + 1)
-    K[2:] = np.log(nm.M[1:])
-    return CumulantSamples(K=K)
+    # numpy's log, not math.log: they can differ in the last bit, and
+    # noise.monte_carlo takes np.log of the same moments in a batch
+    return CumulantSamples(K=(0.0, 0.0, *np.log(nm.M[1:]).tolist()))
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -176,7 +186,6 @@ def newton_maclaurin(q, n: int) -> SymmetricMeans:
     covers that, the second-order terms and the rounding of the padded
     value itself.
     """
-    q = np.asarray(q, dtype=float).tolist()
     m = len(q)
     if m > n:
         raise ValueError("cannot form e_k beyond k = n")
@@ -203,9 +212,7 @@ def newton_maclaurin(q, n: int) -> SymmetricMeans:
         logE.append(log_e - log_binomial(n, k))
         delta.append(err[k] / e[k]
                      + _LOGE_PAD * (abs(log_e) + k * (log_n + k)))
-    slopes = [hi - lo for hi, lo in zip(logE, [0.0] + logE)]
-    return SymmetricMeans(n=n, logE=np.array(logE), slopes=np.array(slopes),
-                          delta=np.array(delta))
+    return SymmetricMeans(n=n, logE=logE, delta=delta)
 
 
 def esp_from_values(values, m: int) -> np.ndarray:
@@ -230,37 +237,34 @@ def symmetric_means_from_eigenvalues(eigenvalues, m: int) -> SymmetricMeans:
     n = lam.size
     x = lam / (math.fsum(lam) / n)
     e = esp_from_values(x, m)
-    logE = np.array([math.log(e[k - 1]) - log_binomial(n, k)
-                     for k in range(1, m + 1)])
-    slopes = np.diff(logE, prepend=0.0)
-    return SymmetricMeans(n=n, logE=logE, slopes=slopes)
+    logE = [math.log(e[k - 1]) - log_binomial(n, k) for k in range(1, m + 1)]
+    return SymmetricMeans(n=n, logE=logE)
 
 
-def central_moments(nm: NormalizedMoments, order: int) -> np.ndarray:
-    """Central moments ``mu_k = E[(X-1)**k]`` for ``k = 2..order``."""
+def central_moments(nm: NormalizedMoments, order: int) -> tuple[float, ...]:
+    """Central moments ``mu_k = E[(X-1)**k]`` for ``k = 2..order``.
+
+    A tuple of floats, ``mu[k-2] = mu_k``.
+    """
     if order < 2 or order > nm.m:
         raise ValueError("order must lie in [2, m]")
-    M = np.concatenate([[1.0], nm.M])  # M[j] = M_j with M_0 = 1
-    mu = []
-    for k in range(2, order + 1):
-        terms = [math.comb(k, j) * (-1.0) ** (k - j) * M[j]
-                 for j in range(k + 1)]
-        mu.append(math.fsum(terms))
-    return np.array(mu)
+    M = (1.0, *nm.M)  # M[j] = M_j with M_0 = 1
+    return tuple(math.fsum([math.comb(k, j) * (-1.0) ** (k - j) * M[j]
+                            for j in range(k + 1)])
+                 for k in range(2, order + 1))
 
 
-def boxcox_samples(nm: NormalizedMoments, alpha: complex) -> np.ndarray:
+def boxcox_samples(nm: NormalizedMoments, alpha: complex) -> tuple[float, ...]:
     """Power-transformed samples ``G(k) = Re[(M_k**alpha - 1)/alpha]``.
 
-    ``alpha`` may be complex; the log-domain limit ``alpha -> 0`` is served
-    by ``cumulants`` instead.  ``G(0) = G(1) = 0`` exactly, matching the
-    cumulant anchors, and the transform has unit derivative at ``M = 1``,
-    so the interpolation weights need no rescaling.
+    A tuple of floats, ``G[k] = G(k)`` for ``k = 0..m``.  ``alpha`` may be
+    complex; the log-domain limit ``alpha -> 0`` is served by ``cumulants``
+    instead.  ``G(0) = G(1) = 0`` exactly, matching the cumulant anchors,
+    and the transform has unit derivative at ``M = 1``, so the
+    interpolation weights need no rescaling.
     """
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("alpha = 0 means the log transform: use cumulants()")
-    G = np.zeros(nm.m + 1)
-    for k in range(2, nm.m + 1):
-        G[k] = ((complex(nm.M[k - 1]) ** alpha - 1.0) / alpha).real
-    return G
+    return (0.0, 0.0, *(((complex(Mk) ** alpha - 1.0) / alpha).real
+                        for Mk in nm.M[1:]))

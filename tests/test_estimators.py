@@ -57,7 +57,7 @@ class TestWeights:
     def test_cached_and_read_only(self):
         wv = estimators.lagrange_weights(5)
         assert estimators.lagrange_weights(5) is wv
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             wv.w[0] = 0.0
 
     def test_range_guard(self):

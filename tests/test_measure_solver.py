@@ -41,6 +41,12 @@ class TestBasics:
         point = AtomicMeasure(np.array([1.0]), np.array([1.0]))
         assert moment_residual(point, [1.0]) == 0.0
 
+    def test_one_weight_per_atom(self):
+        with pytest.raises(ValueError, match="1 atoms but 2 weights"):
+            AtomicMeasure([1.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="2 atoms but 1 weights"):
+            AtomicMeasure([1.0, 2.0], [1.0])
+
 
 class TestLowerClosedFormInstance:
     """The {1, 4} spectrum: M = (1, 1.36), floor r = 0.4."""

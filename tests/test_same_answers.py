@@ -55,3 +55,28 @@ def test_compare_reports_moves_and_differences():
     assert not ok
     assert lines[1].startswith("exact 2: warnings ['upper ktrace_4: ")
     assert not any(line.startswith("warnings: ") for line in lines)
+
+
+def test_compare_names_each_cli_command_that_differs():
+    tool = _tool()
+    commands = tool.readme_commands()
+    assert "certify --traces traces.csv --m 4 --floor 0.01" in commands
+    assert not any(c.startswith("reproduce") for c in commands)
+
+    command = "traces --family two_point --n 64 --kappa 10 --m 3 --out t.csv"
+    a = {"reports": {}, "tables": {}, "cli": tool.cli_outputs([command])}
+    rec = a["cli"][command]
+    assert (rec["exit"], rec["stdout"], rec["stderr"]) == (0, "", "")
+    assert rec["out"].splitlines()[0] == "n,k,p_k"
+    assert tool.compare(a, copy.deepcopy(a)) == (
+        ["reports: 0 of 0 identical", "tables: 0 of 0 identical",
+         "cli: 1 of 1 commands identical"], True)
+
+    b = copy.deepcopy(a)
+    b["cli"][command]["out"] += "64,4,1.0\n"
+    b["cli"]["diagnose --n 2"] = {"exit": 2, "stdout": "", "stderr": "x"}
+    lines, ok = tool.compare(a, b)
+    assert not ok
+    assert lines[2:] == ["cli: 0 of 2 commands identical",
+                         f"  tracelogdet {command}: differs in out",
+                         "  tracelogdet diagnose --n 2: run on one side only"]

@@ -7,13 +7,17 @@
 ``CHECKOUT/bench/workloads.py``.  It records ``certify(...).to_dict()``, or
 the refusal text, for the first 300 certify-exact and the first 300
 certify-noisy queries of the benchmark stream (seed 1, ``m = 4``,
-``ks=(2, 3, 4)``), and the CSV of each ``reproduce`` table (seed 0).
+``ks=(2, 3, 4)``), and the CSV of each ``reproduce`` table (seed 0).  It
+also runs each ``tracelogdet`` example of this tool's README but
+``reproduce`` through ``cli.main``, in order, in a fresh temporary
+directory, and records its exit code, stdout, stderr and ``--out`` file.
 
 ``compare`` prints the number of identical reports, every difference in
 verdict, warned bounds, refusal, bound names or estimate, the number of
 reports whose warnings differ only in their detail text, the largest
 relative move per bound name, per interval end and in ``clipped_logdet``,
-and the tables that differ.  It exits 0 only when everything is identical.
+the tables that differ and the CLI examples whose output differs.  It
+exits 0 only when everything is identical.
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ import importlib.util
 import io as _io
 import json
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 QUERIES = 300        # per stream: the first 300 certify-exact and -noisy
 STREAM_SEED = 1
 TABLE_SEED = 0
 STREAMS = (("exact", False), ("noisy", True))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def load_workloads(checkout: Path):
@@ -76,11 +83,51 @@ def reproduce_tables(names=None) -> dict[str, str]:
     return out
 
 
+def readme_commands(readme: Path = README) -> list[str]:
+    """The README's ``tracelogdet`` examples but ``reproduce``, unprefixed."""
+    commands = []
+    for line in readme.read_text().replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] == ["tracelogdet"] and words[1:2] != ["reproduce"]:
+            commands.append(" ".join(words[1:]))
+    return commands
+
+
+def cli_outputs(commands) -> dict[str, dict]:
+    """Each command's exit code, stdout, stderr and ``--out`` file text.
+
+    The commands run in order in one temporary directory, so a later
+    example reads the files an earlier one wrote.
+    """
+    from tracelogdet import cli
+
+    out, cwd = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for command in commands:
+                argv = command.split()
+                stdout, stderr = _io.StringIO(), _io.StringIO()
+                with (contextlib.redirect_stdout(stdout),
+                      contextlib.redirect_stderr(stderr)):
+                    code = cli.main(argv)
+                rec = {"exit": code, "stdout": stdout.getvalue(),
+                       "stderr": stderr.getvalue()}
+                if "--out" in argv:
+                    path = Path(argv[argv.index("--out") + 1])
+                    rec["out"] = path.read_text() if path.exists() else None
+                out[command] = rec
+        finally:
+            os.chdir(cwd)
+    return out
+
+
 def dump(checkout: Path, out: Path) -> None:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(Path(checkout) / "src"))
     wl = load_workloads(checkout)
-    data = {"reports": certify_reports(wl), "tables": reproduce_tables()}
+    data = {"reports": certify_reports(wl), "tables": reproduce_tables(),
+            "cli": cli_outputs(readme_commands())}
     Path(out).write_text(json.dumps(data, indent=1) + "\n")
 
 
@@ -170,6 +217,20 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
                  "identical" + (f"; differ: {', '.join(differ)}"
                                 if differ else ""))
     ok = len(same) == len(ra) == len(rb) and not differ
+    if "cli" in a or "cli" in b:
+        ca, cb = a.get("cli", {}), b.get("cli", {})
+        commands = list(ca) + [c for c in cb if c not in ca]
+        changed = [c for c in commands if ca.get(c) != cb.get(c)]
+        lines.append(f"cli: {len(commands) - len(changed)} of "
+                     f"{len(commands)} commands identical")
+        for command in changed:
+            x, y = ca.get(command), cb.get(command)
+            what = ("run on one side only" if x is None or y is None
+                    else "differs in " + ", ".join(
+                        part for part in ("exit", "stdout", "stderr", "out")
+                        if x.get(part) != y.get(part)))
+            lines.append(f"  tracelogdet {command}: {what}")
+        ok = ok and not changed
     return lines, ok
 
 
