@@ -7,6 +7,9 @@ and regenerate the experiment tables as CSV.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (infeasible
 bound program, irrecoverable cancellation, overflow).
+
+A query on a traces file imports no numpy: the subcommands that generate
+spectra, simulate noise or build tables import those modules themselves.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ import argparse
 import json
 import sys
 
-from . import analysis, bounds, io, noise, tables
+from . import __version__, bounds, io
+from .catalog import GENERATED_FAMILIES, TABLES
 from .estimators import (cv_diagnostic, k0m_estimate, latane_estimate,
                          lognormal_closed_form, transform_estimate)
 from .measure_solver import InfeasibleError
 from .moments import (CancellationError, boxcox_samples, central_moments,
                       cumulants, normalize)
 from .report import certify
-from .spectra import GENERATED_FAMILIES, exact_stats, generate, trace_powers
 
 _NUMERICAL_ERRORS = (InfeasibleError, CancellationError, OverflowError)
 
@@ -51,6 +54,7 @@ def _resolve_input(args, m):
     if args.traces:
         tp = io.read_traces(args.traces)
         return tp, None, {"traces_file": args.traces}
+    from .spectra import generate, trace_powers
     if getattr(args, "spectrum", None):
         s = io.read_spectrum(args.spectrum)
     else:
@@ -77,6 +81,7 @@ def _emit(args, header, rows):
 
 
 def _cmd_gen_spectrum(args):
+    from .spectra import generate
     s = generate(args.family, args.n, args.kappa, args.seed)
     if args.out:
         io.write_spectrum(s, args.out)
@@ -108,6 +113,7 @@ def _cmd_estimate(args):
     row = [est.method, est.m, est.kprime0_hat, est.gm_over_am_hat,
            est.logdet_hat]
     if s is not None:
+        from .spectra import exact_stats
         st = exact_stats(s)
         header += ["kprime0_true", "logdet_true", "rel_error_pct"]
         row += [st.kprime0, st.logdet,
@@ -154,9 +160,10 @@ def _cmd_diagnose(args):
     rows = [["cv_pct", cv,
              "transform-spread; > 20 means the estimate is unreliable"]]
     if desc.get("family") in _RADIUS_FAMILY:
+        from .analysis import taylor_radius
         radius_family, default_p = _RADIUS_FAMILY[desc["family"]]
         p = default_p(desc["n"]) if args.p is None else args.p
-        rr = analysis.taylor_radius(radius_family, desc["kappa"], p)
+        rr = taylor_radius(radius_family, desc["kappa"], p)
         rows.append(["taylor_radius", rr.radius, f"family={radius_family}"])
         rows.append(["safe_order", rr.safe_order,
                      "orders beyond the radius diverge"])
@@ -168,6 +175,8 @@ def _cmd_noise_sweep(args):
     tp, s, desc = _resolve_input(args, args.m)
     if s is None:
         raise ValueError("noise-sweep needs a generated spectrum")
+    from . import noise
+    from .spectra import exact_stats
     st = exact_stats(s)
     b_m = (k0m_estimate(cumulants(normalize(tp)), args.m).kprime0_hat
            - st.kprime0)
@@ -186,7 +195,8 @@ def _cmd_noise_sweep(args):
 
 
 def _cmd_reproduce(args):
-    builder = tables.BUILDERS[args.table]
+    from .tables import BUILDERS
+    builder = BUILDERS[args.table]
     kwargs = {"seed": args.seed}
     if args.table == "noise-crossover":
         kwargs["trials"] = args.trials
@@ -199,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tracelogdet",
         description="log det estimates and certified bounds from trace powers")
+    ap.add_argument("--version", action="version",
+                    version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-spectrum", help="generate a benchmark spectrum")
@@ -261,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_noise_sweep)
 
     p = sub.add_parser("reproduce", help="regenerate an experiment table")
-    p.add_argument("--table", required=True, choices=sorted(tables.BUILDERS))
+    p.add_argument("--table", required=True, choices=sorted(TABLES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--out")

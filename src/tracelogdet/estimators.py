@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .moments import CumulantSamples, NormalizedMoments, boxcox_samples, cumulants
 
 _MAX_ORDER = 64
@@ -150,10 +148,12 @@ def cv_diagnostic(nm: NormalizedMoments, m: int) -> float:
         k0m_estimate(cumulants(nm), m).kprime0_hat,
         transform_estimate(boxcox_samples(nm, +0.3), +0.3, m).kprime0_hat,
     ]
-    spread = float(np.std(ests))
+    # population mean and SD, summed left to right as numpy sums 3 values
+    mean = (ests[0] + ests[1] + ests[2]) / 3
+    d0, d1, d2 = (x - mean for x in ests)
+    spread = math.sqrt((d0 * d0 + d1 * d1 + d2 * d2) / 3)
     if spread == 0.0:
         return 0.0
-    mean = float(np.mean(ests))
     if mean == 0.0:
         raise ZeroDivisionError("coefficient of variation undefined: mean 0")
     return 100.0 * spread / abs(mean)

@@ -8,11 +8,12 @@ import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .moments import TracePowers
-from .spectra import Spectrum, generate
+
+if TYPE_CHECKING:  # spectra imports numpy, which traces files never need
+    from .spectra import Spectrum
 
 TRACES_HEADER = ("n", "k", "p_k")
 
@@ -29,14 +30,16 @@ def spectrum_to_dict(s: Spectrum) -> dict:
 
 def spectrum_from_dict(d: dict) -> Spectrum:
     """Rebuild a spectrum; eigenvalues are regenerated when absent."""
+    from .spectra import Spectrum, generate
+
     family = d["family"]
     eigenvalues = d.get("eigenvalues")
     if eigenvalues is None:
         if family == "custom":
             raise ValueError("custom spectra must carry explicit eigenvalues")
         return generate(family, int(d["n"]), float(d["kappa"]), d.get("seed"))
-    return Spectrum(np.asarray(eigenvalues, dtype=float), family,
-                    int(d["n"]), float(d["kappa"]), d.get("seed"))
+    return Spectrum(eigenvalues, family, int(d["n"]), float(d["kappa"]),
+                    d.get("seed"))
 
 
 def write_spectrum(s: Spectrum, path: str | Path) -> None:
@@ -76,6 +79,10 @@ def read_traces(path: str | Path) -> TracePowers:
             raise ValueError(
                 f"traces file must have header {','.join(TRACES_HEADER)}")
         for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"traces file line {reader.line_num}: "
+                                 "need exactly the fields "
+                                 f"{','.join(TRACES_HEADER)}")
             n_row = int(row["n"])
             if n is None:
                 n = n_row
@@ -90,7 +97,7 @@ def read_traces(path: str | Path) -> TracePowers:
     m = max(rows)
     if sorted(rows) != list(range(1, m + 1)):
         raise ValueError("trace rows must cover k = 1..m without gaps")
-    return TracePowers(n=n, p=np.array([rows[k] for k in range(1, m + 1)]))
+    return TracePowers(n=n, p=[rows[k] for k in range(1, m + 1)])
 
 
 def fmt(value) -> str:

@@ -20,17 +20,20 @@ which keep their relative accuracy down to the smallest weight.  When the
 recurrence breaks down the moments lie on the boundary of the moment space:
 a single measure represents them, and it serves both senses.
 
-The moments have a handful of entries, and numpy's per-call dispatch
-would cost more than their arithmetic, so the recurrence, the weights, the
-pins and the checks run on Python floats.  numpy serves only ``eigvalsh``.
+The moments have a handful of entries, so everything runs on Python
+floats: the recurrence, the weights, the pins, the checks and the nodes.
+The nodes come from LAPACK's ``dsterf`` (Anderson et al., *LAPACK Users'
+Guide*, 3rd ed., 1999), translated operation for operation: the
+Pal-Walker-Kahan root-free variant of the QL algorithm (Parlett, *The
+Symmetric Eigenvalue Problem*, 1998, ch. 8), without eigenvectors.  It is
+the routine ``numpy.linalg.eigvalsh`` runs on a tridiagonal matrix, so the
+nodes agree with it to the bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 _BIG_CAP = 1e3  # atom cap multiplier on M_k**(1/k)
 _TOL_FEAS = 1e-8  # max moment residual, each scaled by max(1, M_j)
@@ -39,6 +42,8 @@ _SUPPORT_RTOL = 1e-9  # round-off allowed at the ends of [lo, cap]
 # M_2 within this of 1 is the point mass at 1: round-off in the traces of
 # c * I lands M_2 a few ulps on either side of 1
 POINT_MASS_TOL = 1e-12
+_EPS = 2.0 ** -53  # unit roundoff, LAPACK's dlamch("E")
+_EPS2 = _EPS * _EPS
 
 
 class InfeasibleError(RuntimeError):
@@ -113,6 +118,106 @@ def _recurrence(mom: list[float]):
     return a, b, None
 
 
+def _hypot(x: float, y: float) -> float:
+    """``sqrt(x**2 + y**2)`` rounded as LAPACK's ``dlapy2`` rounds it."""
+    w, z = max(abs(x), abs(y)), min(abs(x), abs(y))
+    if z == 0.0:
+        return w
+    q = z / w
+    return w * math.sqrt(1.0 + q * q)
+
+
+def _eigenvalues_2x2(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues of ``[[a, b], [b, c]]``, larger magnitude first (``dlae2``).
+
+    The smaller one comes from the determinant, which keeps it accurate.
+    """
+    sm = a + c
+    rt = _hypot(a - c, b + b)
+    if sm == 0.0:
+        return 0.5 * rt, -0.5 * rt
+    rt1 = 0.5 * (sm - rt) if sm < 0 else 0.5 * (sm + rt)
+    big, small = (a, c) if abs(a) > abs(c) else (c, a)
+    return rt1, (big / rt1) * small - (b / rt1) * b
+
+
+def _root_free_ql(d: list[float], e2: list[float], sweeps: int) -> int:
+    """Eigenvalues of one unreduced block into ``d``; returns sweeps left.
+
+    ``e2`` holds the squared subdiagonal.  Pal-Walker-Kahan QL: shifted
+    like implicit QL, but on the squares, so a sweep takes no square root.
+    """
+    l, last = 0, len(d) - 1
+    while l <= last:
+        m = l  # the first negligible subdiagonal entry at or below l
+        while m < last and not abs(e2[m]) <= _EPS2 * abs(d[m] * d[m + 1]):
+            m += 1
+        if m < last:
+            e2[m] = 0.0
+        if m == l:
+            l += 1
+            continue
+        if m == l + 1:
+            d[l], d[l + 1] = _eigenvalues_2x2(d[l], math.sqrt(e2[l]),
+                                              d[l + 1])
+            e2[l] = 0.0
+            l += 2
+            continue
+        if sweeps == 0:
+            raise InfeasibleError("the QL iteration did not converge")
+        sweeps -= 1
+        p = d[l]
+        rte = math.sqrt(e2[l])
+        sigma = (d[l + 1] - p) / (2.0 * rte)
+        sigma = p - rte / (sigma + math.copysign(_hypot(sigma, 1.0), sigma))
+        c, s = 1.0, 0.0
+        gamma = d[m] - sigma
+        p = gamma * gamma
+        for i in range(m - 1, l - 1, -1):
+            bb = e2[i]
+            r = p + bb
+            if i != m - 1:
+                e2[i + 1] = s * r
+            oldc, c, s = c, p / r, bb / r
+            oldgam = gamma
+            gamma = c * (d[i] - sigma) - s * oldgam
+            d[i + 1] = oldgam + (d[i] - gamma)
+            p = gamma * gamma / c if c != 0.0 else oldc * bb
+        e2[l] = s * p
+        d[l] = sigma + gamma
+    return sweeps
+
+
+def _tridiagonal_eigenvalues(diag: list[float],
+                             off: list[float]) -> list[float]:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix.
+
+    ``diag`` is its diagonal and ``off`` its subdiagonal.  This is LAPACK's
+    ``dsterf``, which ``numpy.linalg.eigvalsh`` runs on a tridiagonal
+    matrix, operation for operation, so the nodes agree with eigvalsh's to
+    the bit: split where ``off`` is negligible, then iterate on each block,
+    QL from the end of smaller magnitude (QR is QL on the reversed block).
+    dsterf also rescales a block whose entries pass about 1e153 or all stay
+    below about 1e-122; moments equilibrated to order 1 never get there.
+    """
+    d, n = list(diag), len(diag)
+    sweeps = 30 * n
+    start = 0
+    while start < n:
+        end = start
+        while end < n - 1 and not abs(off[end]) <= (
+                math.sqrt(abs(d[end])) * math.sqrt(abs(d[end + 1]))) * _EPS:
+            end += 1
+        block, e2 = d[start:end + 1], [v * v for v in off[start:end]]
+        if abs(block[-1]) < abs(block[0]):
+            block.reverse()
+            e2.reverse()
+        sweeps = _root_free_ql(block, e2, sweeps)
+        d[start:end + 1] = block
+        start = end + 1
+    return sorted(d)
+
+
 def _jacobi_rule(diag: list[float], offdiag_sq: list[float]):
     """Nodes of a Jacobi matrix and their Christoffel numbers, unit mass.
 
@@ -124,12 +229,7 @@ def _jacobi_rule(diag: list[float], offdiag_sq: list[float]):
     if not all(map(math.isfinite, diag + offdiag_sq)):
         raise InfeasibleError("the moments define no quadrature rule")
     n = len(diag)
-    off = [math.sqrt(v) for v in offdiag_sq]
-    T = np.zeros(n * n)
-    T[::n + 1] = diag
-    T[1::n + 1] = off
-    T[n::n + 1] = off
-    x = np.linalg.eigvalsh(T.reshape(n, n)).tolist()
+    x = _tridiagonal_eigenvalues(diag, [math.sqrt(v) for v in offdiag_sq])
     b = [1.0] + offdiag_sq  # b_0 = m_0 = 1
     w = []
     for z in x:

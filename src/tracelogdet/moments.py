@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 _EPS = math.ulp(1.0)
 # assumed relative accuracy of incoming power sums
 _EPS_INPUT = 8 * _EPS
@@ -31,19 +29,21 @@ class CancellationError(ArithmeticError):
 class TracePowers:
     """Power sums ``p_k``, ``k = 1..m``, of an n-point spectrum.
 
-    This is the only matrix-derived input the toolkit ever sees.
+    This is the only matrix-derived input the toolkit ever sees.  ``p`` is
+    a fresh list of floats, ``p[k-1] = p_k``: editing a copy of it and
+    building new TracePowers from the copy leaves this one alone.
     """
 
     n: int
-    p: np.ndarray  # p[k-1] = p_k
+    p: list[float]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+        p = list(map(float, self.p))
+        object.__setattr__(self, "p", p)
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.p.ndim != 1 or self.p.size < 1:
+        if not p:
             raise ValueError("need at least p_1")
-        p = self.p.tolist()
         if not all(map(math.isfinite, p)):
             raise ValueError("trace powers must be finite")
         if not all(pk > 0 for pk in p):
@@ -51,7 +51,7 @@ class TracePowers:
 
     @property
     def m(self) -> int:
-        return self.p.size
+        return len(self.p)
 
 
 @dataclass(frozen=True)
@@ -116,34 +116,40 @@ class SymmetricMeans:
         object.__setattr__(self, "delta", tuple(map(float, self.delta)))
 
 
-def _normalized_powers(p: np.ndarray, n: int) -> np.ndarray:
-    """``M_k = n**(k-1) * p_k / p_1**k`` along the last axis, ``M_1 = 1``."""
-    am = p[..., :1] / n
-    ks = np.arange(1, p.shape[-1] + 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        M = p / (n * am ** ks)
-    if not np.all(np.isfinite(M)):
-        # rescaling overflowed even though M_k itself is representable
-        rows, prows = M.reshape(-1, ks.size), p.reshape(-1, ks.size)
-        for i in np.flatnonzero(~np.all(np.isfinite(rows), axis=1)):
-            logM = (np.log(prows[i]) + (ks - 1) * math.log(n)
-                    - ks * math.log(prows[i, 0]))
-            with np.errstate(over="ignore"):  # NormalizedMoments refuses inf
-                rows[i] = np.exp(logM)
-    M[..., 0] = 1.0
-    return M
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf  # NormalizedMoments refuses it
+
+
+def _normalized_powers(p: list[float], n: int) -> list[float]:
+    """``M_k = n**(k-1) * p_k / p_1**k`` of positive ``p``, ``M_1 = 1``.
+
+    ``noise.monte_carlo`` runs this on every trial, so that its estimates
+    equal ``normalize`` -> ``cumulants`` -> ``k0m_estimate`` bit for bit.
+    """
+    am = p[0] / n
+    try:
+        M = [pk / (n * am ** k) for k, pk in enumerate(p[1:], 2)]
+        if all(map(math.isfinite, M)):
+            return [1.0, *M]
+    except (OverflowError, ZeroDivisionError):
+        pass
+    # the rescaling over- or underflowed even though M_k itself may be
+    # representable: take every moment through logs
+    log_n, log_p1 = math.log(n), math.log(p[0])
+    return [1.0, *(_exp(math.log(pk) + (k - 1) * log_n - k * log_p1)
+                   for k, pk in enumerate(p[1:], 2))]
 
 
 def normalize(tp: TracePowers) -> NormalizedMoments:
     """Trace powers to normalized moments, forcing ``M_1 = 1`` exactly."""
-    return NormalizedMoments(n=tp.n,
-                             M=_normalized_powers(tp.p, tp.n).tolist())
+    return NormalizedMoments(n=tp.n, M=_normalized_powers(tp.p, tp.n))
 
 
 def cumulants(nm: NormalizedMoments) -> CumulantSamples:
-    # numpy's log, not math.log: they can differ in the last bit, and
-    # noise.monte_carlo takes np.log of the same moments in a batch
-    return CumulantSamples(K=(0.0, 0.0, *np.log(nm.M[1:]).tolist()))
+    return CumulantSamples(K=(0.0, 0.0, *map(math.log, nm.M[1:])))
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -215,27 +221,26 @@ def newton_maclaurin(q, n: int) -> SymmetricMeans:
     return SymmetricMeans(n=n, logE=logE, delta=delta)
 
 
-def esp_from_values(values, m: int) -> np.ndarray:
+def esp_from_values(values, m: int) -> list[float]:
     """Elementary symmetric polynomials ``e_1..e_m`` of positive values.
 
     All-positive accumulation, so unlike the Newton-identity route there
     is no cancellation; the oracle for the tests and for the
     ``bounds-comparison`` table.
     """
-    values = np.asarray(values, dtype=float)
-    e = np.zeros(m + 1)
-    e[0] = 1.0
+    e = [1.0] + [0.0] * m
     for i, v in enumerate(values):
-        top = min(i + 1, m)
-        e[1:top + 1] += v * e[0:top]
+        for j in range(min(i + 1, m), 0, -1):
+            e[j] += v * e[j - 1]
     return e[1:]
 
 
 def symmetric_means_from_eigenvalues(eigenvalues, m: int) -> SymmetricMeans:
     """Cancellation-free SymmetricMeans straight from explicit eigenvalues."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    n = lam.size
-    x = lam / (math.fsum(lam) / n)
+    lam = list(map(float, eigenvalues))
+    n = len(lam)
+    am = math.fsum(lam) / n
+    x = [v / am for v in lam]
     e = esp_from_values(x, m)
     logE = [math.log(e[k - 1]) - log_binomial(n, k) for k in range(1, m + 1)]
     return SymmetricMeans(n=n, logE=logE)

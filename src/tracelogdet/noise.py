@@ -75,13 +75,14 @@ def perturb(tp: TracePowers, ns: NoiseSpec,
     if ns.eta == 0.0:
         return tp, 0
     rng = _trial_rng(ns.seed, trial)
-    eps = rng.normal(0.0, ns.eta, size=tp.m)
+    eps = rng.normal(0.0, ns.eta, size=tp.m).tolist()
     truncations = 0
-    for k in np.nonzero(eps <= _TRUNC_AT)[0]:
-        while eps[k] <= _TRUNC_AT:
-            eps[k] = rng.normal(0.0, ns.eta)
+    for k, e in enumerate(eps):
+        while e <= _TRUNC_AT:
+            e = eps[k] = float(rng.normal(0.0, ns.eta))
             truncations += 1
-    return TracePowers(n=tp.n, p=tp.p * (1.0 + eps)), truncations
+    p = [pk * (1.0 + e) for pk, e in zip(tp.p, eps)]
+    return TracePowers(n=tp.n, p=p), truncations
 
 
 def noise_bias(m: int, eta: float) -> float:
@@ -170,25 +171,26 @@ def monte_carlo(s: Spectrum, m: int, eta: float, trials: int,
     """Empirical bias/SD/RMSE of the order-m estimate under trace noise.
 
     Per-trial seeds are derived from ``(seed, trial)``, so the statistics
-    do not depend on the order of the trials.  The perturbed traces are
-    stacked into a (trials, m) matrix, and each row gets the order-m
-    interpolation estimate: the same arithmetic as ``normalize``,
-    ``cumulants`` and ``k0m_estimate``, with its compensated sum.
+    do not depend on the order of the trials.  Each trial's estimate runs
+    the arithmetic of ``normalize``, ``cumulants`` and ``k0m_estimate``
+    (the same moment helper, ``math.log`` and compensated sum) without
+    building their result types.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     truth = exact_stats(s).kprime0
     tp = trace_powers(s, m)
     ns = NoiseSpec(eta=eta, seed=seed)
-    P = np.empty((trials, m))
+    w = lagrange_weights(m).w[1:]
+    ests = []
     truncations = 0
     for t in range(trials):
         noisy, trunc = perturb(tp, ns, trial=t)
-        P[t] = noisy.p
         truncations += trunc
-    logM = np.log(_normalized_powers(P, tp.n))
-    terms = logM[:, 1:] * lagrange_weights(m).w[1:]
-    ests = np.array([math.fsum(row) for row in terms.tolist()])
+        M = _normalized_powers(noisy.p, tp.n)
+        ests.append(math.fsum([wj * math.log(Mj)
+                               for wj, Mj in zip(w, M[1:])]))
+    ests = np.array(ests)
     bias = float(np.mean(ests) - truth)
     sd = float(np.std(ests))
     rmse = math.sqrt(float(np.mean((ests - truth) ** 2)))

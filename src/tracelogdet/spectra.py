@@ -24,13 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import FAMILIES, GENERATED_FAMILIES, RANDOM_FAMILIES
 from .moments import TracePowers
-
-FAMILIES = ("geometric", "uniform", "lognormal", "two_point", "bimodal",
-            "clustered", "custom")
-# the families generate() builds; "custom" spectra wrap explicit lists
-GENERATED_FAMILIES = tuple(f for f in FAMILIES if f != "custom")
-RANDOM_FAMILIES = ("lognormal", "clustered")
 
 # deterministic families must hit the requested condition number exactly
 _KAPPA_RTOL = 1e-12
@@ -166,5 +161,4 @@ def trace_powers(s: Spectrum, m: int) -> TracePowers:
     if m * math.log(lam[-1]) >= math.log(sys.float_info.max):
         raise OverflowError(
             f"lambda_max**{m} exceeds the representable float range")
-    p = np.array([math.fsum(lam ** k) for k in range(1, m + 1)])
-    return TracePowers(n=s.n, p=p)
+    return TracePowers(n=s.n, p=[math.fsum(lam ** k) for k in range(1, m + 1)])

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from . import analysis, bounds, noise
+from .catalog import TABLES
 from .estimators import (k0m_estimate, latane_estimate, transform_estimate)
 from .moments import (boxcox_samples, central_moments, cumulants, normalize,
                       symmetric_means_from_eigenvalues)
@@ -192,15 +193,7 @@ def latane_comparison(seed=None):
     return header, rows
 
 
-BUILDERS = {
-    "k0m-errors": k0m_errors,
-    "optimal-m": optimal_m,
-    "bounds-comparison": bounds_comparison,
-    "alpha": alpha_table,
-    "asymptotic": asymptotic_table,
-    "saturation": saturation_table,
-    "radius-scan": radius_scan,
-    "noise-crossover": noise_crossover,
-    "boxcox-sweep": boxcox_sweep,
-    "latane": latane_comparison,
-}
+BUILDERS = dict(zip(TABLES, (
+    k0m_errors, optimal_m, bounds_comparison, alpha_table, asymptotic_table,
+    saturation_table, radius_scan, noise_crossover, boxcox_sweep,
+    latane_comparison), strict=True))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tracelogdet import analysis, io, spectra
+from tracelogdet import __version__, analysis, io, spectra
 from tracelogdet.bounds import certified_interval
 from tracelogdet.cli import main
 from tracelogdet.report import CertifiedReport, certify
@@ -341,6 +341,40 @@ class TestExitCodes:
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    def test_traces_queries_import_no_numpy(self, tmp_path):
+        traces = tmp_path / "traces.csv"
+        io.write_traces(spectra.trace_powers(
+            spectra.generate("geometric", 1024, 100.0), 4), traces)
+        code = f"""
+import contextlib, io, sys
+import tracelogdet
+from tracelogdet.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["--version"])] + [
+        main([command, "--traces", {str(traces)!r}])
+        for command in ("estimate", "diagnose", "bounds", "certify")]
+print(codes, "numpy" in sys.modules)
+print(tracelogdet.generate.__name__, tracelogdet.monte_carlo.__name__)
+"""
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["[0, 0, 0, 0, 0] False",
+                                           "generate monte_carlo"]
+
+    def test_version(self, capsys):
+        assert run_cli("--version") == 0
+        assert capsys.readouterr().out == f"tracelogdet {__version__}\n"
+
+    @pytest.mark.parametrize("row", ["4,2", "4,2,16,7"],
+                             ids=["missing_field", "extra_field"])
+    def test_misshapen_trace_row(self, tmp_path, capsys, row):
+        path = tmp_path / "traces.csv"
+        path.write_text(f"n,k,p_k\n4,1,4\n{row}\n")
+        assert run_cli("estimate", "--traces", str(path)) == 2
+        assert capsys.readouterr().err == (
+            "error: traces file line 3: need exactly the fields n,k,p_k\n")
 
 
 class TestReproduce:

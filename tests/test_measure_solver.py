@@ -48,6 +48,25 @@ class TestBasics:
             AtomicMeasure([1.0, 2.0], [1.0])
 
 
+def test_tridiagonal_eigenvalues_match_lapack():
+    # graded entries of both signs, split blocks, and both iteration
+    # directions (the end of smaller magnitude may be either one)
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        scale = 10.0 ** rng.uniform(-6, 6, size=n)
+        d = rng.uniform(-1, 1, n) * scale
+        e = rng.uniform(-1, 1, n - 1) * np.sqrt(scale[:-1] * scale[1:])
+        if n > 2 and rng.uniform() < 0.2:
+            e[rng.integers(0, n - 1)] = 0.0
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        got = measure_solver._tridiagonal_eigenvalues(d.tolist(), e.tolist())
+        assert got == sorted(got)
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(T), rtol=0,
+                                   atol=8 * np.finfo(float).eps
+                                   * np.abs(T).sum(axis=1).max())
+
+
 class TestLowerClosedFormInstance:
     """The {1, 4} spectrum: M = (1, 1.36), floor r = 0.4."""
 

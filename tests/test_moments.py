@@ -33,6 +33,12 @@ class TestNormalize:
             nm = moments.normalize(tp)
         np.testing.assert_allclose(nm.M, [1, 2, 5, 1e101], rtol=1e-12)
 
+    def test_overflowing_mean_power_takes_logs(self):
+        # AM**2 overflows; M_2 < 1 fits no spectrum, but it is the value
+        nm = moments.normalize(moments.TracePowers(n=2, p=[2e200, 2e300]))
+        assert nm.M[0] == 1.0
+        assert nm.M[1] == pytest.approx(1e-100, rel=1e-12)
+
     @pytest.mark.parametrize("n,p,k", [(10**10, [1.0, 1e300, 1e300], 2),
                                        (1000, [1e-300] * 4, 3)])
     def test_overflowing_moment_is_refused_silently(self, n, p, k):

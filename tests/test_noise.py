@@ -45,7 +45,7 @@ class TestPerturb:
         total = 0
         for t in range(4000):
             out, trunc = noise.perturb(tp, ns, trial=t)
-            assert np.all(out.p > 0)
+            assert all(pk > 0 for pk in out.p)
             total += trunc
         assert total > 0  # ~2% of draws sit below -1 at eta = 0.49
 
@@ -155,11 +155,15 @@ class TestMonteCarlo:
         assert envelope / math.sqrt(2) * 0.85 <= stats.rmse \
             <= math.sqrt(2) * envelope * 1.15
 
-    @pytest.mark.parametrize("eta", [0.01, 0.45])
-    def test_matches_scalar_pipeline(self, geo100, eta):
-        # eta = 0.45 forces truncation redraws
+    @pytest.mark.parametrize("eta,trials", [
+        pytest.param(0.01, 64, id="0.01"), pytest.param(0.45, 64, id="0.45"),
+        pytest.param(0.01, 3000, id="0.01-3000-trials")])
+    def test_matches_scalar_pipeline(self, geo100, eta, trials):
+        # eta = 0.45 forces truncation redraws; a few of 3000 trials at
+        # eta = 0.01 land on moments where numpy's log or power differs
+        # from the stdlib's in the last bit
         s, st, _ = geo100
-        m, trials, seed = 4, 64, 17
+        m, seed = 4, 17
         tp = spectra.trace_powers(s, m)
         ns = noise.NoiseSpec(eta=eta, seed=seed)
         ests, truncations = [], 0

@@ -2,6 +2,9 @@
 
 import copy
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +83,25 @@ def test_compare_names_each_cli_command_that_differs():
     assert lines[2:] == ["cli: 0 of 2 commands identical",
                          f"  tracelogdet {command}: differs in out",
                          "  tracelogdet diagnose --n 2: run on one side only"]
+
+
+def test_compare_stops_quietly_when_its_reader_does(tmp_path):
+    # about 1 MB of differences: more than a pipe holds, so the tool is
+    # still writing when the reader closes its end (``compare A B | head``)
+    dumps = []
+    for text in ("a", "b"):
+        path = tmp_path / f"{text}.json"
+        path.write_text(json.dumps({
+            "reports": {f"exact {i}": {"refused": text * 200}
+                        for i in range(2000)},
+            "tables": {}}))
+        dumps.append(str(path))
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "same_answers.py"), "compare",
+         *dumps], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "reports: 0 of 2000 identical\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
