@@ -25,12 +25,12 @@ _EXPORTS = {
     "estimators": ("EstimateReport", "WeightVector", "cv_diagnostic",
                    "k0m_estimate", "lagrange_weights", "latane_estimate",
                    "lognormal_closed_form", "transform_estimate"),
-    "measure_solver": ("AtomicMeasure", "InfeasibleError", "moment_residual",
-                       "solve"),
-    "moments": ("CancellationError", "CumulantSamples", "NormalizedMoments",
-                "SymmetricMeans", "TracePowers", "boxcox_samples",
-                "central_moments", "cumulants", "newton_maclaurin",
-                "normalize", "symmetric_means_from_eigenvalues"),
+    "measure_solver": ("AtomicMeasure", "moment_residual", "solve"),
+    "moments": ("CancellationError", "CumulantSamples", "InfeasibleError",
+                "NormalizedMoments", "SymmetricMeans", "TracePowers",
+                "boxcox_samples", "central_moments", "cumulants",
+                "newton_maclaurin", "normalize",
+                "symmetric_means_from_eigenvalues"),
     "noise": ("NoiseSpec", "NoiseStats", "NoiseTheory", "monte_carlo",
               "noise_bias", "optimal_order", "perturb", "theory",
               "weight_norm_fit"),

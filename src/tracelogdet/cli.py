@@ -10,6 +10,8 @@ bound program, irrecoverable cancellation, overflow).
 
 A query on a traces file imports no numpy: the subcommands that generate
 spectra, simulate noise or build tables import those modules themselves.
+Likewise only ``bounds`` and ``certify`` load the bound solver, so
+``estimate`` and ``diagnose`` on a traces file never compile it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ import argparse
 import json
 import sys
 
-from . import __version__, bounds, io
+from . import __version__, io
 from .catalog import GENERATED_FAMILIES, TABLES
 from .estimators import (cv_diagnostic, k0m_estimate, latane_estimate,
                          lognormal_closed_form, transform_estimate)
-from .measure_solver import InfeasibleError
-from .moments import (CancellationError, boxcox_samples, central_moments,
-                      cumulants, normalize)
-from .report import certify
+from .moments import (CancellationError, InfeasibleError, boxcox_samples,
+                      central_moments, cumulants, normalize)
 
 _NUMERICAL_ERRORS = (InfeasibleError, CancellationError, OverflowError)
 
@@ -123,6 +123,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_bounds(args):
+    from . import bounds
     tp, _, _ = _resolve_input(args, max(args.m, args.k))
     rep = bounds.bounds_report(
         normalize(tp), ks=tuple(range(2, args.k + 1)), r=args.floor)
@@ -145,6 +146,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_certify(args):
+    from .report import certify
     tp, _, desc = _resolve_input(args, max(args.m, args.k))
     rep = certify(tp, args.m, r=args.floor, ks=tuple(range(2, args.k + 1)),
                   input_desc=desc)

@@ -78,6 +78,8 @@ def read_traces(path: str | Path) -> TracePowers:
                 [f.strip() for f in reader.fieldnames] != list(TRACES_HEADER):
             raise ValueError(
                 f"traces file must have header {','.join(TRACES_HEADER)}")
+        # read the rows by the names the header was checked against
+        reader.fieldnames = TRACES_HEADER
         for row in reader:
             if None in row or None in row.values():
                 raise ValueError(f"traces file line {reader.line_num}: "

@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .moments import InfeasibleError
+
 _BIG_CAP = 1e3  # atom cap multiplier on M_k**(1/k)
 _TOL_FEAS = 1e-8  # max moment residual, each scaled by max(1, M_j)
 _ATOM_FLOOR = 1e-12  # support floor of the max sense
@@ -44,10 +46,6 @@ _SUPPORT_RTOL = 1e-9  # round-off allowed at the ends of [lo, cap]
 POINT_MASS_TOL = 1e-12
 _EPS = 2.0 ** -53  # unit roundoff, LAPACK's dlamch("E")
 _EPS2 = _EPS * _EPS
-
-
-class InfeasibleError(RuntimeError):
-    """No measure on the allowed support reproduces the moments."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,9 @@ class AtomicMeasure:
 
 
 def _moments(x: list[float], w: list[float], k: int) -> list[float]:
-    """``sum_i w_i x_i**j`` for ``j = 0..k``, each sum rounded once."""
+    """``sum_i w_i x_i**j`` for ``j = 1..k``, each sum rounded once."""
     return [math.fsum(col) for col in zip(*(
-        [wi * xi ** j for j in range(k + 1)] for xi, wi in zip(x, w)))]
+        [wi * xi ** j for j in range(1, k + 1)] for xi, wi in zip(x, w)))]
 
 
 def moment_residual(mu: AtomicMeasure, M) -> float:
@@ -333,7 +331,7 @@ def solve(sense: str, M, r: float | None = None, *,
     w = [wi / total for wi in w]
     mu = AtomicMeasure(x, w)
     resid = max(abs(got - Mj) / max(1.0, Mj)
-                for got, Mj in zip(_moments(x, w, k)[1:], M))
+                for got, Mj in zip(_moments(x, w, k), M))
     if not resid <= _TOL_FEAS:
         raise InfeasibleError(f"extremal measure misses the moments by "
                               f"{resid:.1e} (tolerance {_TOL_FEAS:.0e})")

@@ -25,6 +25,15 @@ class CancellationError(ArithmeticError):
     """Newton's identities lost too many digits to alternating cancellation."""
 
 
+class InfeasibleError(RuntimeError):
+    """No measure on the allowed support reproduces the moments.
+
+    ``measure_solver`` raises it; it lives here so that callers can catch
+    it without loading the solver.  ``bounds_report`` catches it as a
+    ``RuntimeError``.
+    """
+
+
 @dataclass(frozen=True)
 class TracePowers:
     """Power sums ``p_k``, ``k = 1..m``, of an n-point spectrum.

@@ -61,6 +61,20 @@ class TestTracesCsv:
         with pytest.raises(ValueError):
             io.read_traces(path)
 
+    def test_spaced_header_reads_as_plain(self, tmp_path, capsys):
+        rows = "".join(f"1024,{k},{p!r}\n" for k, p in enumerate(
+            spectra.trace_powers(spectra.generate("geometric", 1024, 100.0),
+                                 4).p, start=1))
+        out = {}
+        for header in ("n,k,p_k", "n, k, p_k", " n ,k , p_k"):
+            path = tmp_path / "traces.csv"
+            path.write_text(f"{header}\n{rows}")
+            for command in ("estimate", "diagnose"):
+                assert run_cli(command, "--traces", str(path)) == 0
+                out[header, command] = capsys.readouterr()
+        for (header, command), got in out.items():
+            assert got == out["n,k,p_k", command], header
+
 
 class TestSubcommands:
     def test_estimate_known_error(self, capsys):
@@ -362,6 +376,47 @@ print(tracelogdet.generate.__name__, tracelogdet.monte_carlo.__name__)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["[0, 0, 0, 0, 0] False",
                                            "generate monte_carlo"]
+
+    def test_traces_queries_load_no_solver(self, tmp_path):
+        traces = tmp_path / "traces.csv"
+        io.write_traces(spectra.trace_powers(
+            spectra.generate("geometric", 1024, 100.0), 4), traces)
+        code = f"""
+import contextlib, io, sys
+from tracelogdet.cli import main
+heavy = ("tracelogdet.measure_solver", "tracelogdet.bounds",
+         "tracelogdet.report", "numpy")
+with contextlib.redirect_stdout(io.StringIO()):
+    light = [main(["--version"])] + [
+        main([command, "--traces", {str(traces)!r}])
+        for command in ("estimate", "diagnose")]
+    loaded = [m for m in heavy if m in sys.modules]
+    solving = [main([command, "--traces", {str(traces)!r}])
+               for command in ("bounds", "certify")]
+print(light, loaded, solving)
+"""
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["[0, 0, 0] [] [0, 0]"]
+
+    def test_infeasible_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        import tracelogdet
+        from tracelogdet import bounds, measure_solver, moments
+
+        assert (tracelogdet.InfeasibleError is measure_solver.InfeasibleError
+                is moments.InfeasibleError)
+
+        def infeasible(*args, **kwargs):
+            raise measure_solver.InfeasibleError("no measure fits")
+
+        # bounds_report turns solver failures into warnings, so only a
+        # stand-in carries the error up to main
+        monkeypatch.setattr(bounds, "bounds_report", infeasible)
+        traces = tmp_path / "traces.csv"
+        traces.write_text("n,k,p_k\n4,1,4\n4,2,5\n4,3,7\n4,4,10\n")
+        assert run_cli("bounds", "--traces", str(traces)) == 3
+        assert capsys.readouterr().err == "numerical failure: no measure fits\n"
 
     def test_version(self, capsys):
         assert run_cli("--version") == 0
